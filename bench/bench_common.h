@@ -8,7 +8,6 @@
 //   --units 500,2000      unit-count sweep (comma-separated list)
 //   --ticks N             ticks per measurement
 //   --threads 1,4         worker-thread sweep
-//   --shards 1,2          (bench_suite) shard-worker sweep
 //   --seed N              scenario seed
 //   --json PATH           also write machine-readable results to PATH
 //   --scenarios a,b       (bench_suite) restrict to named scenarios
@@ -69,7 +68,6 @@ inline int32_t NaiveMaxUnits(int32_t fallback = 2000) {
 struct BenchArgs {
   std::vector<int32_t> units;
   std::vector<int32_t> threads;
-  std::vector<int32_t> shards;  // shard-worker sweep (bench_suite)
   std::vector<int32_t> sessions;  // co-scheduled session sweep (bench_suite)
   std::vector<std::string> scenarios;
   std::vector<std::string> modes;
@@ -103,9 +101,6 @@ struct BenchArgs {
   }
   std::vector<int32_t> ThreadsOr(std::vector<int32_t> fallback) const {
     return threads.empty() ? fallback : threads;
-  }
-  std::vector<int32_t> ShardsOr(std::vector<int32_t> fallback) const {
-    return shards.empty() ? fallback : shards;
   }
   std::vector<int32_t> SessionsOr(std::vector<int32_t> fallback) const {
     return sessions.empty() ? fallback : sessions;
@@ -171,7 +166,6 @@ inline void PrintBenchUsage(const char* bench, const char* extra) {
                "  --ticks N           ticks per measurement "
                "(env SGL_BENCH_TICKS)\n"
                "  --threads A,B,...   worker-thread sweep\n"
-               "  --shards A,B,...    shard-worker sweep (bench_suite)\n"
                "  --sessions A,B,...  co-scheduled session sweep "
                "(bench_suite)\n"
                "  --seed N            workload seed\n"
@@ -222,9 +216,6 @@ inline BenchArgs ParseBenchArgsOrExit(int argc, char** argv, const char* bench,
     } else if (is_flag(arg, "--threads")) {
       args.threads =
           bench_internal::SplitIntList("--threads", value_of(&i, "--threads"));
-    } else if (is_flag(arg, "--shards")) {
-      args.shards =
-          bench_internal::SplitIntList("--shards", value_of(&i, "--shards"));
     } else if (is_flag(arg, "--sessions")) {
       args.sessions = bench_internal::SplitIntList(
           "--sessions", value_of(&i, "--sessions"));

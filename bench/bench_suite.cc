@@ -1,7 +1,7 @@
 // The unified benchmark suite: every registered scenario, swept across
-// {naive, indexed, adaptive} evaluators x worker-thread counts x shard
-// counts x unit scales x aggregate sharing {on, off} x compiled
-// evaluation {on, off} x disk-backed storage {off, on}.
+// {naive, indexed, adaptive} evaluators x worker-thread counts x unit
+// scales x aggregate sharing {on, off} x compiled evaluation {on, off} x
+// disk-backed storage {off, on}.
 //
 // Each (scenario, units) group elects the first completed cell as its
 // reference; every other cell's final environment table must be
@@ -76,15 +76,14 @@ void RemoveWorldDir(const std::string& dir) {
 // out of the timing, which matters for the sub-millisecond CI cells the
 // regression gate compares across runs.
 CellResult RunCell(const std::string& scenario, const ScenarioParams& params,
-                   EvaluatorMode mode, int32_t threads, int32_t shards,
-                   bool sharing, bool compiled, bool storage, int64_t ticks,
-                   int32_t reps, bool want_metrics) {
+                   EvaluatorMode mode, int32_t threads, bool sharing,
+                   bool compiled, bool storage, int64_t ticks, int32_t reps,
+                   bool want_metrics) {
   CellResult best;
   for (int32_t rep = 0; rep < reps; ++rep) {
     SimulationConfig config;
     config.eval_mode = mode;
     config.threads = threads;
-    config.shards = shards;
     config.sharing = sharing;
     config.compiled = compiled;
     std::string world_dir;
@@ -217,8 +216,8 @@ CellResult RunServeCell(const std::string& scenario,
 }
 
 std::string CellJson(const std::string& scenario, const char* mode,
-                     int32_t units, int32_t threads, int32_t shards,
-                     bool sharing, bool compiled, bool storage, int64_t ticks,
+                     int32_t units, int32_t threads, bool sharing,
+                     bool compiled, bool storage, int64_t ticks,
                      const CellResult& cell, int32_t sessions = 1) {
   // Per session-tick, so multi-tenant rows compare against solo rows.
   const double ns_per_tick =
@@ -226,7 +225,7 @@ std::string CellJson(const std::string& scenario, const char* mode,
   std::ostringstream os;
   os << "{\"scenario\": \"" << scenario << "\", \"mode\": \"" << mode
      << "\", \"units\": " << units << ", \"threads\": " << threads
-     << ", \"shards\": " << shards << ", \"sessions\": " << sessions
+     << ", \"sessions\": " << sessions
      << ", \"sharing\": \"" << (sharing ? "on" : "off") << "\""
      << ", \"compiled\": \"" << (compiled ? "on" : "off") << "\""
      << ", \"storage\": \"" << (storage ? "on" : "off") << "\""
@@ -286,12 +285,6 @@ int main(int argc, char** argv) {
   const std::vector<int32_t> thread_counts =
       args.ThreadsOr(args.quick ? std::vector<int32_t>{1, 2}
                                 : std::vector<int32_t>{1, 4});
-  // Sharded cells ride in the same file: shards=1 is the classic
-  // single-table engine (and the key legacy baselines carry implicitly);
-  // shards=2 keeps a perf trajectory on the multi-shard tick pipeline,
-  // whose cells are bit-checked against the same group reference.
-  const std::vector<int32_t> shard_counts =
-      args.ShardsOr(std::vector<int32_t>{1, 2});
   std::vector<std::string> scenarios =
       args.scenarios.empty() ? registry.List() : args.scenarios;
   const std::vector<std::string> modes =
@@ -343,9 +336,9 @@ int main(int argc, char** argv) {
     json.WriteLine(meta.str());
   }
 
-  std::printf("%-14s %-8s %7s %8s %7s %8s %9s %8s %14s %9s\n", "scenario",
-              "mode", "units", "threads", "shards", "sharing", "compiled",
-              "storage", "ns/tick", "speedup");
+  std::printf("%-14s %-8s %7s %8s %8s %9s %8s %14s %9s\n", "scenario",
+              "mode", "units", "threads", "sharing", "compiled", "storage",
+              "ns/tick", "speedup");
   for (const std::string& scenario : scenarios) {
     for (int32_t units : unit_counts) {
       ScenarioParams params;
@@ -363,44 +356,42 @@ int main(int argc, char** argv) {
         EvaluatorMode mode = *parsed;
         if (mode == EvaluatorMode::kNaive && units > naive_max) continue;
         for (int32_t threads : thread_counts) {
-          for (int32_t shards : shard_counts) {
-            for (const std::string& sharing_name : sharing_sweep) {
-              for (const std::string& compiled_name : compiled_sweep) {
-                for (const std::string& storage_name : storage_sweep) {
-                  const bool sharing = sharing_name == "on";
-                  const bool compiled = compiled_name == "on";
-                  const bool storage = storage_name == "on";
-                  CellResult cell =
-                      RunCell(scenario, params, mode, threads, shards, sharing,
-                              compiled, storage, ticks, reps, args.metrics);
-                  if (!have_reference) {
-                    have_reference = true;
-                    reference = cell.table.Clone();
-                    base_ns = cell.seconds / static_cast<double>(ticks) * 1e9;
-                  } else if (!reference.Equals(cell.table)) {
-                    std::fprintf(
-                        stderr,
-                        "DETERMINISM VIOLATION: %s units=%d %s threads=%d "
-                        "shards=%d sharing=%s compiled=%s storage=%s diverged "
-                        "from the group reference:\n%s\n",
-                        scenario.c_str(), units, mode_name.c_str(), threads,
-                        shards, sharing_name.c_str(), compiled_name.c_str(),
-                        storage_name.c_str(),
-                        reference.DiffString(cell.table).c_str());
-                    return 1;
-                  }
-                  const double ns =
-                      cell.seconds / static_cast<double>(ticks) * 1e9;
-                  std::printf(
-                      "%-14s %-8s %7d %8d %7d %8s %9s %8s %14.0f %8.2fx\n",
-                      scenario.c_str(), mode_name.c_str(), units, threads,
-                      shards, sharing_name.c_str(), compiled_name.c_str(),
-                      storage_name.c_str(), ns, ns > 0 ? base_ns / ns : 0.0);
-                  std::fflush(stdout);
-                  json.WriteLine(CellJson(scenario, mode_name.c_str(), units,
-                                          threads, shards, sharing, compiled,
-                                          storage, ticks, cell));
+          for (const std::string& sharing_name : sharing_sweep) {
+            for (const std::string& compiled_name : compiled_sweep) {
+              for (const std::string& storage_name : storage_sweep) {
+                const bool sharing = sharing_name == "on";
+                const bool compiled = compiled_name == "on";
+                const bool storage = storage_name == "on";
+                CellResult cell =
+                    RunCell(scenario, params, mode, threads, sharing, compiled,
+                            storage, ticks, reps, args.metrics);
+                if (!have_reference) {
+                  have_reference = true;
+                  reference = cell.table.Clone();
+                  base_ns = cell.seconds / static_cast<double>(ticks) * 1e9;
+                } else if (!reference.Equals(cell.table)) {
+                  std::fprintf(
+                      stderr,
+                      "DETERMINISM VIOLATION: %s units=%d %s threads=%d "
+                      "sharing=%s compiled=%s storage=%s diverged from the "
+                      "group reference:\n%s\n",
+                      scenario.c_str(), units, mode_name.c_str(), threads,
+                      sharing_name.c_str(), compiled_name.c_str(),
+                      storage_name.c_str(),
+                      reference.DiffString(cell.table).c_str());
+                  return 1;
                 }
+                const double ns =
+                    cell.seconds / static_cast<double>(ticks) * 1e9;
+                std::printf(
+                    "%-14s %-8s %7d %8d %8s %9s %8s %14.0f %8.2fx\n",
+                    scenario.c_str(), mode_name.c_str(), units, threads,
+                    sharing_name.c_str(), compiled_name.c_str(),
+                    storage_name.c_str(), ns, ns > 0 ? base_ns / ns : 0.0);
+                std::fflush(stdout);
+                json.WriteLine(CellJson(scenario, mode_name.c_str(), units,
+                                        threads, sharing, compiled, storage,
+                                        ticks, cell));
               }
             }
           }
@@ -409,8 +400,7 @@ int main(int argc, char** argv) {
     }
   }
   // ------------------------------------------------- multi-tenant sweep
-  std::printf("\nmulti-tenant serving (indexed, shards=1, per session-tick "
-              "ns):\n");
+  std::printf("\nmulti-tenant serving (indexed, per session-tick ns):\n");
   for (const std::string& scenario : scenarios) {
     for (int32_t units : unit_counts) {
       ScenarioParams params;
@@ -422,15 +412,14 @@ int main(int argc, char** argv) {
                                          ticks, reps, args.metrics);
           const double ns =
               cell.seconds / static_cast<double>(ticks * sessions) * 1e9;
-          std::printf("%-14s %-8s %7d %8d %7d %8s %9s %8s %14.0f %9s\n",
-                      scenario.c_str(), "serve", units, threads, 1, "on",
-                      "on", "off", ns,
+          std::printf("%-14s %-8s %7d %8d %8s %9s %8s %14.0f %9s\n",
+                      scenario.c_str(), "serve", units, threads, "on", "on",
+                      "off", ns,
                       ("s=" + std::to_string(sessions)).c_str());
           std::fflush(stdout);
           json.WriteLine(CellJson(scenario, "indexed", units, threads,
-                                  /*shards=*/1, /*sharing=*/true,
-                                  /*compiled=*/true, /*storage=*/false, ticks,
-                                  cell, sessions));
+                                  /*sharing=*/true, /*compiled=*/true,
+                                  /*storage=*/false, ticks, cell, sessions));
         }
       }
     }

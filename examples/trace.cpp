@@ -1,12 +1,7 @@
 // Observability tour: run the battle scenario with every instrument on
 // and leave the artifacts behind for inspection.
 //
-//   trace [--shards N] [OUT_DIR]   # default: shards 1, current directory
-//
-// With --shards N the battle runs on the multi-shard tick pipeline and
-// the trace additionally shows the per-shard worker tracks ("shard" /
-// "shard-build" spans at tid 1+shard) inside the decision and
-// index-build phases.
+//   trace [OUT_DIR]   # default: current directory
 //
 // Produces in OUT_DIR:
 //   trace.json      Chrome trace-event JSON — open in Perfetto
@@ -16,7 +11,6 @@
 //   flight.json     the flight recorder's last-16-ticks ring, dumped
 //                   here on demand (normally written only on failure)
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "scenario/scenario.h"
@@ -24,16 +18,7 @@
 using namespace sgl;
 
 int main(int argc, char** argv) {
-  std::string out_dir = ".";
-  int32_t shards = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--shards" && i + 1 < argc) {
-      shards = std::atoi(argv[++i]);
-    } else {
-      out_dir = arg;
-    }
-  }
+  const std::string out_dir = argc > 1 ? argv[1] : ".";
 
   ScenarioParams params;
   params.units = 300;
@@ -43,7 +28,6 @@ int main(int argc, char** argv) {
   SimulationConfig config;
   config.eval_mode = EvaluatorMode::kAdaptive;
   config.threads = 4;
-  config.shards = shards;
   config.artifacts.trace_path = out_dir + "/trace.json";
   config.artifacts.metrics_path = out_dir + "/metrics.jsonl";
   config.artifacts.flight_recorder_ticks = 16;
@@ -70,10 +54,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::printf("%s: %lld ticks over %d rows, %d threads, %d shard(s)\n\n",
+  std::printf("%s: %lld ticks over %d rows, %d threads\n\n",
               (*sim)->name().c_str(), static_cast<long long>(ticks),
-              (*sim)->table().NumRows(), (*sim)->threads(),
-              (*sim)->config().shards);
+              (*sim)->table().NumRows(), (*sim)->threads());
   std::printf("%s\n", (*sim)->stats().ToString().c_str());
 
   // The destructor would write the trace too; writing it now lets us

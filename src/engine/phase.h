@@ -9,8 +9,7 @@
 //
 // but users can reorder, disable, or extend it with custom phases through
 // SimulationBuilder. Every phase reports its own PhaseStats (time, rows
-// scanned, index probes) into the simulation's PhaseStatsRegistry, which
-// replaces the ad-hoc PhaseTimes of the original Engine.
+// scanned, index probes) into the simulation's PhaseStatsRegistry.
 #ifndef SGL_ENGINE_PHASE_H_
 #define SGL_ENGINE_PHASE_H_
 

@@ -9,7 +9,6 @@
 
 #include "algebra/plan.h"
 #include "opt/adaptive_provider.h"
-#include "shard/runtime.h"
 #include "storage/world_store.h"
 #include "util/timer.h"
 #include "vm/compiler.h"
@@ -38,10 +37,6 @@ Status SimulationConfig::Validate() const {
     return Status::Invalid(
         "SimulationConfig: threads must be >= 0 (0 = auto-detect), got ",
         threads);
-  }
-  if (shards < 1 || shards > 64) {
-    return Status::Invalid("SimulationConfig: shards must be in [1, 64], got ",
-                           shards);
   }
   // Movement is keyed off move_x_attr: empty disables the phase (the
   // historical idiom leaves move_y_attr at its default in that case).
@@ -165,7 +160,7 @@ Status Simulation::Tick() {
   // the table: the inlet's sequence order is the only order, so a live
   // run and a replay of its inlet log see identical pre-tick state. The
   // writes go through EnvironmentTable::Set and therefore land in the
-  // change log that adaptive indexes and shard ghost refreshes consume.
+  // change log that adaptive indexes consume.
   serve::InletDrainStats drain;
   SGL_RETURN_NOT_OK(inlet_.DrainInto(&table_, tick_count_, &drain));
   if (drain.applied > 0) inlet_applied_->Add(drain.applied);
@@ -234,12 +229,10 @@ Status Simulation::Tick() {
 }
 
 int64_t Simulation::shared_hits() const {
-  if (shard_runtime_ != nullptr) return shard_runtime_->shared_hits();
   return sharing_ != nullptr ? sharing_->shared_hits() : 0;
 }
 
 int64_t Simulation::memo_entries() const {
-  if (shard_runtime_ != nullptr) return shard_runtime_->memo_entries();
   return sharing_ != nullptr ? sharing_->memo_entries() : 0;
 }
 
@@ -338,8 +331,7 @@ std::string Simulation::Explain() const {
      << (pool_ != nullptr ? " (parallel tick pipeline, deterministic)" : "")
      << ", evaluator: " << EvaluatorModeName(config_.eval_mode)
      << ", sharing: " << (sharing_ != nullptr ? "on" : "off")
-     << ", compiled: " << (config_.compiled ? "on" : "off")
-     << ", shards: " << config_.shards << "\n\n";
+     << ", compiled: " << (config_.compiled ? "on" : "off") << "\n\n";
   for (const auto& session : sessions_) {
     os << "== script '" << session->name << "'";
     if (dispatch_attr_ != Schema::kInvalidAttr) {
@@ -388,7 +380,6 @@ std::string Simulation::Explain() const {
     os << "\n";
   }
   if (sharing_ != nullptr) os << sharing_->Describe();
-  if (shard_runtime_ != nullptr) os << shard_runtime_->Describe();
   return os.str();
 }
 
@@ -578,12 +569,6 @@ SimulationSnapshot Simulation::SnapshotNow() const {
   return SimulationSnapshot{table_.Clone(), tick_count_};
 }
 
-SimulationSnapshot Simulation::Snapshot() const { return SnapshotNow(); }
-
-Status Simulation::Restore(const SimulationSnapshot& snapshot) {
-  return RestoreSnapshot(snapshot);
-}
-
 Status Simulation::RestoreSnapshot(const SimulationSnapshot& snapshot) {
   if (!(snapshot.table.schema() == table_.schema())) {
     return Status::Invalid(
@@ -595,10 +580,9 @@ Status Simulation::RestoreSnapshot(const SimulationSnapshot& snapshot) {
 Status Simulation::InstallWorld(EnvironmentTable table, int64_t tick) {
   table_ = std::move(table);
   tick_count_ = tick;
-  if (config_.eval_mode == EvaluatorMode::kAdaptive || config_.shards > 1) {
-    // The replaced table invalidates every delta-maintained structure —
-    // adaptive index families and shard-worker local tables alike; a
-    // structural change forces full rebuilds (and a repartition) on the
+  if (config_.eval_mode == EvaluatorMode::kAdaptive) {
+    // The replaced table invalidates every delta-maintained adaptive
+    // index family; a structural change forces full rebuilds on the
     // next tick.
     table_.EnableChangeTracking();
     table_.ClearChanges();
@@ -801,10 +785,9 @@ Result<std::unique_ptr<Simulation>> SimulationBuilder::Build() {
   sim->name_ = std::move(name_);
   sim->config_ = config_;
   const Schema& schema = sim->table_.schema();
-  if (config_.eval_mode == EvaluatorMode::kAdaptive || config_.shards > 1) {
+  if (config_.eval_mode == EvaluatorMode::kAdaptive) {
     // The adaptive evaluator consumes the table's delta log each tick
-    // (IndexBuildPhase clears it after every session has built), and the
-    // shard runtime drives ghost refreshes from the same log.
+    // (IndexBuildPhase clears it after every session has built).
     sim->table_.EnableChangeTracking();
   }
 
@@ -977,15 +960,6 @@ Result<std::unique_ptr<Simulation>> SimulationBuilder::Build() {
       "engine.tick.ns",
       {10000, 100000, 1000000, 10000000, 100000000, 1000000000},
       obs::kMetricExecDependent);
-  // The shard runtime assembles after sessions and dispatch are final
-  // (workers mirror both) and before the registry is sized: worker
-  // providers and programs rebind into the same counters as the driver
-  // sessions', and the sizing below must cover them too.
-  if (config_.shards > 1) {
-    SGL_ASSIGN_OR_RETURN(sim->shard_runtime_,
-                         shard::ShardRuntime::Create(sim.get()));
-  }
-
   // Durable storage attaches before the registry is sized so storage.*
   // counters get their shard slots too. An existing world on disk is
   // never clobbered at build: ticking stays blocked until the caller
@@ -1002,12 +976,11 @@ Result<std::unique_ptr<Simulation>> SimulationBuilder::Build() {
 
   // Size every sharded metric once, after all bindings: chunk ids of the
   // parallel phases are the shard ids (NumChunks never exceeds the
-  // thread count), and shard-worker ids key their own slots.
-  const int32_t metric_shards = std::max(sim->threads_, config_.shards);
-  sim->metrics_.SetNumShards(metric_shards);
+  // thread count).
+  sim->metrics_.SetNumShards(sim->threads_);
   if (!config_.artifacts.trace_path.empty()) {
     sim->tracer_ = std::make_unique<obs::Tracer>();
-    sim->tracer_->SetNumShards(metric_shards);
+    sim->tracer_->SetNumShards(sim->threads_);
     if (sim->sharing_ != nullptr) {
       sim->sharing_->set_tracer(sim->tracer_.get());
     }
@@ -1042,18 +1015,9 @@ Result<std::unique_ptr<Simulation>> SimulationBuilder::Build() {
   }
 
   // --- the phase pipeline ------------------------------------------------
-  // Under sharding the first two phases are replaced by shard-runtime
-  // equivalents with the same names (same stats slots, same anchors for
-  // phase edits); the rest of the pipeline runs unchanged against the
-  // authoritative table.
   std::vector<std::unique_ptr<TickPhase>> pipeline;
-  if (config_.shards > 1) {
-    pipeline.push_back(std::make_unique<shard::ShardIndexBuildPhase>());
-    pipeline.push_back(std::make_unique<shard::ShardDecisionPhase>());
-  } else {
-    pipeline.push_back(std::make_unique<IndexBuildPhase>());
-    pipeline.push_back(std::make_unique<DecisionActionPhase>());
-  }
+  pipeline.push_back(std::make_unique<IndexBuildPhase>());
+  pipeline.push_back(std::make_unique<DecisionActionPhase>());
   pipeline.push_back(std::make_unique<DeferredIndexPhase>());
   pipeline.push_back(std::make_unique<ApplyPhase>());
   if (!config_.move_x_attr.empty()) {

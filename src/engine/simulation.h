@@ -141,19 +141,6 @@ struct SimulationConfig {
   /// determinism contract the parallel test suite enforces.
   int32_t threads = 1;
 
-  /// In-process shard workers (src/shard/). 1 runs the classic
-  /// single-table engine. N in [2, 64] partitions the environment table
-  /// across N workers — spatial stripes with ghost margins sized by
-  /// script reach analysis when every probe and action footprint is
-  /// bounded, replicated otherwise — each evaluating the decision phase
-  /// of the rows it owns against its own local table, with cross-shard
-  /// effects exchanged as canonical actor-ordered operation logs. Any
-  /// value produces bit-identical simulations for every scenario,
-  /// evaluator mode, thread count, and sharing/compiled setting (the
-  /// shard test suite enforces it). Orthogonal to `threads`: the same
-  /// pool that runs the parallel phases runs the shard workers.
-  int32_t shards = 1;
-
   /// Ablation switches for kIndexed mode: disable the Section 5.3
   /// aggregate indexes or the Section 5.4 action batching independently
   /// (bench_optimizer measures each contribution).
@@ -195,8 +182,8 @@ struct SimulationConfig {
   /// recovery, O(delta) checkpoints, time travel, and out-of-core
   /// tables. Disabled (empty path) by default — the in-memory engine
   /// then runs with zero storage overhead. Storage-backed runs are
-  /// bit-exact with in-memory runs for every evaluator mode, thread
-  /// count, and shard count (tests/storage_test.cc enforces it).
+  /// bit-exact with in-memory runs for every evaluator mode and thread
+  /// count (tests/storage_test.cc enforces it).
   StorageConfig storage;
 
   /// Validate every field against the engine's limits, with one error
@@ -257,10 +244,6 @@ struct SimulationSnapshot {
 
 class SimulationBuilder;
 
-namespace shard {
-class ShardRuntime;
-}  // namespace shard
-
 class Simulation {
  public:
   ~Simulation();
@@ -289,9 +272,7 @@ class Simulation {
   const SharingContext* sharing() const { return sharing_.get(); }
 
   /// Sharing counters for benches/tests (0 with sharing off). Read them
-  /// between ticks or after a run, not mid-phase. Under sharding these
-  /// sum the worker-private contexts (the driver context sees no
-  /// decision traffic when shard workers evaluate).
+  /// between ticks or after a run, not mid-phase.
   int64_t shared_hits() const;
   int64_t memo_entries() const;
 
@@ -392,28 +373,8 @@ class Simulation {
   storage::WorldStore* store() { return store_.get(); }
   const storage::WorldStore* store() const { return store_.get(); }
 
-  [[deprecated("use Checkpoint(dir); in-memory snapshots remain available "
-               "via SimulationSnapshot for one more release")]]
-  SimulationSnapshot Snapshot() const;
-  [[deprecated("use RestoreFrom(dir)")]]
-  Status Restore(const SimulationSnapshot& snapshot);
-
   // --- accessors used by TickPhase implementations -----------------------
   std::vector<std::unique_ptr<ScriptSession>>& sessions() { return sessions_; }
-
-  /// The shard runtime, or null when config().shards == 1.
-  shard::ShardRuntime* shard_runtime() { return shard_runtime_.get(); }
-  const shard::ShardRuntime* shard_runtime() const {
-    return shard_runtime_.get();
-  }
-
-  // Dispatch state, mirrored by shard workers so local tables resolve
-  // sessions exactly as SessionForRow would.
-  AttrId dispatch_attr() const { return dispatch_attr_; }
-  const std::map<double, int32_t>& dispatch_map() const {
-    return dispatch_map_;
-  }
-  int32_t default_session() const { return default_session_; }
 
   const std::vector<ApplyEffectsHook>& apply_hooks() const {
     return apply_hooks_;
@@ -430,12 +391,13 @@ class Simulation {
   /// Append one {"tick":N,"metrics":{...}} line to artifacts.metrics_path.
   Status AppendMetricsLine() const;
 
-  /// The deprecated shims' bodies (and the engine's internal users).
+  /// The in-memory snapshot path Checkpoint/RestoreFrom use for
+  /// portable snapshot files.
   SimulationSnapshot SnapshotNow() const;
   Status RestoreSnapshot(const SimulationSnapshot& snapshot);
 
   /// Install a rebuilt table + tick and re-sync every delta consumer
-  /// (change tracking, shard repartition, the storage listener).
+  /// (change tracking, the storage listener).
   Status InstallWorld(EnvironmentTable table, int64_t tick);
 
   std::string name_;
@@ -449,7 +411,6 @@ class Simulation {
   std::vector<ApplyEffectsHook> apply_hooks_;
   std::vector<EndTickHook> end_tick_hooks_;
   std::vector<std::unique_ptr<TickPhase>> pipeline_;
-  std::unique_ptr<shard::ShardRuntime> shard_runtime_;  // null: shards == 1
   std::unique_ptr<SharingContext> sharing_;  // null when sharing is off
   EffectBuffer buffer_;
   PhaseStatsRegistry stats_;

@@ -80,16 +80,6 @@ void EnvironmentTable::NoteWrite(RowId row, AttrId attr) {
   if (listener_ != nullptr) listener_->OnCellWrite(keys_[row], attr);
 }
 
-void EnvironmentTable::MarkRowDirty(RowId row, uint64_t mask) {
-  if (!tracking_ || mask == 0) return;
-  if (row >= static_cast<RowId>(changes_.masks.size())) {
-    changes_.masks.resize(NumRows(), 0);
-  }
-  uint64_t& slot = changes_.masks[row];
-  if (slot == 0) changes_.dirty_rows.push_back(row);
-  slot |= mask;
-}
-
 int32_t EnvironmentTable::RemoveIf(const std::function<bool(RowId)>& pred) {
   int32_t n = NumRows();
   RowId out = 0;

@@ -165,14 +165,6 @@ class EnvironmentTable {
     if (tracking_) changes_.structural = true;
   }
 
-  /// Merge `mask` into `row`'s dirty mask without writing any value,
-  /// appending the row to the dirty list on first mark. Shard workers use
-  /// this to mirror the authoritative table's change log onto their local
-  /// copies bit for bit (same rows, same order, same masks), so per-worker
-  /// adaptive cost decisions see exactly the churn the single-table engine
-  /// would. No-op when tracking is disabled or `mask` is zero.
-  void MarkRowDirty(RowId row, uint64_t mask);
-
   // --- delta listener (the storage layer's WAL feed) ----------------------
 
   /// Attach (or with nullptr detach) the table's single delta listener.

@@ -315,7 +315,6 @@ Result<bool> IndexedActionSink::Perform(int32_t action_index,
     }
     if (!pass) continue;
     Pending pending;
-    pending.actor = u_row;
     pending.cx = table.Get(u_row, posx_attr_);
     pending.cy = table.Get(u_row, posy_attr_);
     for (const PartitionDim& p : plan.partitions) {
@@ -395,32 +394,6 @@ Status IndexedActionSink::ApplyDirectKey(
     }
   }
   return Status::OK();
-}
-
-IndexedActionSink::PendingBatches IndexedActionSink::TakePending() {
-  MergePendingShards();
-  PendingBatches out = std::move(pending_);
-  pending_.clear();
-  pending_.resize(script_->program.actions.size());
-  for (size_t a = 0; a < pending_.size(); ++a) {
-    pending_[a].resize(script_->program.actions[a].updates.size());
-  }
-  return out;
-}
-
-void IndexedActionSink::ImportPending(PendingBatches batches) {
-  for (size_t a = 0; a < batches.size() && a < pending_.size(); ++a) {
-    for (size_t s = 0; s < batches[a].size() && s < pending_[a].size(); ++s) {
-      std::vector<Pending>& src = batches[a][s];
-      std::vector<Pending>& dst = pending_[a][s];
-      if (dst.empty()) {
-        dst = std::move(src);
-      } else {
-        dst.insert(dst.end(), std::make_move_iterator(src.begin()),
-                   std::make_move_iterator(src.end()));
-      }
-    }
-  }
 }
 
 Status IndexedActionSink::FlushDeferred(const EnvironmentTable& table,

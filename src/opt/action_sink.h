@@ -54,12 +54,15 @@ class IndexedActionSink : public ActionSink {
   /// performers (SimulationBuilder sets this to the thread count).
   void set_num_shards(int32_t num_shards);
 
-  /// One deferred AOE perform. `actor` is the performing row: in-process
-  /// the batch order implies it, but shard workers defer against
-  /// worker-local tables, so they record it explicitly and the driver
-  /// remaps it to a global row before re-injecting the batches.
+  /// EXPLAIN: strategy chosen per action update statement.
+  std::string DescribePlan() const;
+
+ private:
+  IndexedActionSink(const Script& script, const Interpreter& interp)
+      : script_(&script), interp_(&interp) {}
+
+  /// One deferred AOE perform; the performer is implied by batch order.
   struct Pending {
-    RowId actor = -1;
     double cx = 0.0, cy = 0.0;
     std::vector<double> part_values;  // evaluated partition expressions
     std::vector<double> set_values;   // evaluated set-item values
@@ -68,26 +71,6 @@ class IndexedActionSink : public ActionSink {
 
   /// Deferred AOE performs, indexed [action][update].
   using PendingBatches = std::vector<std::vector<std::vector<Pending>>>;
-
-  /// Drain this sink's deferred batches (merged across its shards in
-  /// shard order) without flushing them. The shard runtime collects each
-  /// worker sink's batches with this, remaps actors local → global, and
-  /// injects the actor-ordered merge into the driver sink.
-  PendingBatches TakePending();
-
-  /// Append externally merged batches to this sink's pending set. Under
-  /// sharding the driver sink performs nothing itself, so the imported
-  /// batches are the whole of what FlushDeferred folds. Batch order is the
-  /// deterministic tie-break for nonstackable effects — callers must pass
-  /// the canonical (ascending-actor) merge.
-  void ImportPending(PendingBatches batches);
-
-  /// EXPLAIN: strategy chosen per action update statement.
-  std::string DescribePlan() const;
-
- private:
-  IndexedActionSink(const Script& script, const Interpreter& interp)
-      : script_(&script), interp_(&interp) {}
 
   enum class UpdateKind {
     kDirectKey,  // e.key = expr(u): one row lookup

@@ -29,16 +29,14 @@ void AdaptiveAggregateProvider::BindMetrics(obs::MetricsRegistry* registry,
                                             const std::string& prefix,
                                             uint32_t extra_flags) {
   IndexedAggregateProvider::BindMetrics(registry, prefix, extra_flags);
-  // Decision counts depend on how evaluation is organized, not just on
-  // the simulation: under sharding every worker provider decides each
-  // family independently (S deciders instead of one), so the tallies are
-  // execution-dependent even though each decision itself is deterministic.
-  const uint32_t flags = extra_flags | obs::kMetricExecDependent;
-  scan_decisions_ = registry->GetCounter(prefix + "decisions.scan", flags);
+  // Decisions derive from the family call counts; they inherit whatever
+  // execution-dependence those carry.
+  scan_decisions_ =
+      registry->GetCounter(prefix + "decisions.scan", extra_flags);
   rebuild_decisions_ =
-      registry->GetCounter(prefix + "decisions.rebuild", flags);
+      registry->GetCounter(prefix + "decisions.rebuild", extra_flags);
   incremental_decisions_ =
-      registry->GetCounter(prefix + "decisions.incremental", flags);
+      registry->GetCounter(prefix + "decisions.incremental", extra_flags);
 }
 
 std::vector<RowId> AdaptiveAggregateProvider::DirtyRowsFor(
@@ -133,15 +131,15 @@ Status AdaptiveAggregateProvider::BuildIndexes(const EnvironmentTable& table,
       case PhysicalChoice::kScan:
         // The trees (if any) will be stale after this tick's writes.
         family.tree_valid = false;
-        scan_decisions_->Add(1, metrics_shard_);
+        scan_decisions_->Add(1);
         break;
       case PhysicalChoice::kRebuild:
         rebuilds.push_back(&family);
-        rebuild_decisions_->Add(1, metrics_shard_);
+        rebuild_decisions_->Add(1);
         break;
       case PhysicalChoice::kIncremental:
         deltas.push_back(DeltaJob{&family, std::move(dirty)});
-        incremental_decisions_->Add(1, metrics_shard_);
+        incremental_decisions_->Add(1);
         break;
     }
   }

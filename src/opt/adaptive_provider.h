@@ -72,12 +72,6 @@ class AdaptiveAggregateProvider : public IndexedAggregateProvider {
   void BindMetrics(obs::MetricsRegistry* registry, const std::string& prefix,
                    uint32_t extra_flags) override;
 
-  /// Shard slot the decision counters accumulate into. Shard workers run
-  /// BuildIndexes concurrently and bind the same counters; giving each
-  /// worker its own slot keeps the adds race-free. Default 0 (the
-  /// single-table engine decides on the tick runner).
-  void set_metrics_shard(int32_t shard) { metrics_shard_ = shard; }
-
  private:
   AdaptiveAggregateProvider(const Script& script, const Interpreter& interp)
       : IndexedAggregateProvider(script, interp) {}
@@ -115,7 +109,6 @@ class AdaptiveAggregateProvider : public IndexedAggregateProvider {
   obs::Counter* rebuild_decisions_ = nullptr;
   obs::Counter* incremental_decisions_ = nullptr;
   CostModel model_;
-  int32_t metrics_shard_ = 0;
   bool has_forced_choice_ = false;  // test hook
   PhysicalChoice forced_choice_ = PhysicalChoice::kRebuild;
   bool first_build_done_ = false;

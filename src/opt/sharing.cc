@@ -182,25 +182,18 @@ SharingContext::SharingContext()
     : own_metrics_(std::make_unique<obs::MetricsRegistry>()),
       metrics_(own_metrics_.get()),
       prefix_("sharing.") {
-  demotions_ =
-      metrics_->GetCounter(prefix_ + "demotions", obs::kMetricExecDependent);
+  demotions_ = metrics_->GetCounter(prefix_ + "demotions", obs::kMetricNone);
 }
 
 void SharingContext::BindGroup(int32_t g) {
   const std::string base = prefix_ + "group" + std::to_string(g) + ".";
   Group& group = *groups_[g];
-  // All sharing tallies are execution-dependent. Hits obviously race
-  // across shards; calls/entries/demotions are deterministic per context,
-  // but shard workers keep private contexts (their memo inserts are
-  // unsharded), so under sharding the driver context's counters read 0
-  // while a single-table run's read nonzero — the counts describe how
-  // evaluation was organized, not the simulated world.
-  group.calls =
-      metrics_->GetCounter(base + "calls", obs::kMetricExecDependent);
+  // Calls and entries are pure per-probe / distinct-key counts —
+  // deterministic for any thread count. Hits are not: see BindMetrics.
+  group.calls = metrics_->GetCounter(base + "calls", obs::kMetricNone);
   group.hits =
       metrics_->GetCounter(base + "hits", obs::kMetricExecDependent);
-  group.entries =
-      metrics_->GetCounter(base + "entries", obs::kMetricExecDependent);
+  group.entries = metrics_->GetCounter(base + "entries", obs::kMetricNone);
 }
 
 int32_t SharingContext::RegisterAggregate(const std::string& member,
@@ -230,8 +223,7 @@ void SharingContext::BindMetrics(obs::MetricsRegistry* registry,
                                  const std::string& prefix) {
   metrics_ = registry;
   prefix_ = prefix;
-  demotions_ =
-      metrics_->GetCounter(prefix_ + "demotions", obs::kMetricExecDependent);
+  demotions_ = metrics_->GetCounter(prefix_ + "demotions", obs::kMetricNone);
   for (size_t g = 0; g < groups_.size(); ++g) {
     BindGroup(static_cast<int32_t>(g));
   }

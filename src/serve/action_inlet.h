@@ -97,11 +97,6 @@ class ActionInlet {
   /// replaying inlet until the loaded log has fully drained.
   Status Replay(std::vector<InletRecord> records);
 
-  [[deprecated("use Replay")]] Status LoadReplay(
-      std::vector<InletRecord> records) {
-    return Replay(std::move(records));
-  }
-
   /// Persist the applied-action log to `path` (binary, little-endian,
   /// checksummed). An empty log still writes a valid file.
   Status SaveLog(const std::string& path) const;

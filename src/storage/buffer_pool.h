@@ -17,9 +17,9 @@
 // promotes every scratch slot to committed before the manifest rename
 // publishes the flip.
 //
-// Thread safety: Pin/Unpin are serialized by one mutex so parallel
-// shard-worker ghost reads are safe; a pinned frame's payload may be
-// read outside the lock (pin_count blocks eviction, frames never move).
+// Thread safety: Pin/Unpin are serialized by one mutex; a pinned
+// frame's payload may be read outside the lock (pin_count blocks
+// eviction, frames never move).
 #ifndef SGL_STORAGE_BUFFER_POOL_H_
 #define SGL_STORAGE_BUFFER_POOL_H_
 

@@ -9,8 +9,8 @@
 // disk — classic shadow paging, sized for exactly two versions.
 //
 // The file descriptor is used with pread/pwrite (no shared cursor), so
-// the buffer pool can serve concurrent shard-worker reads under one
-// mutex without seek races.
+// the buffer pool can serve concurrent reads under one mutex without
+// seek races.
 #ifndef SGL_STORAGE_PAGE_FILE_H_
 #define SGL_STORAGE_PAGE_FILE_H_
 

@@ -115,9 +115,9 @@ Result<std::unique_ptr<WorldStore>> WorldStore::Open(
   store->manifest_path_ = config.path + "/MANIFEST.sgl";
   store->has_world_ = ::access(store->manifest_path_.c_str(), F_OK) == 0;
   if (metrics != nullptr) {
-    // Exec-dependent like shard.*: pool traffic depends on eviction
-    // order and whether storage is even on, so the deterministic metric
-    // subset stays comparable between storage-backed and in-memory runs.
+    // Exec-dependent: pool traffic depends on eviction order and whether
+    // storage is even on, so the deterministic metric subset stays
+    // comparable between storage-backed and in-memory runs.
     const uint32_t exec_dep = obs::kMetricExecDependent;
     store->wal_bytes_ = metrics->GetCounter("storage.wal.bytes", exec_dep);
     store->wal_records_ = metrics->GetCounter("storage.wal.records", exec_dep);
@@ -150,9 +150,7 @@ void WorldStore::ExpandMask(uint64_t mask, std::vector<AttrId>* out) const {
 // --- TableDeltaListener ----------------------------------------------------
 
 void WorldStore::OnCellWrite(int64_t key, AttrId attr) {
-  const uint64_t bit = TableChanges::BitOf(attr);
-  wal_cells_[key] |= bit;
-  pool_cells_[key] |= bit;
+  cells_[key] |= TableChanges::BitOf(attr);
 }
 
 void WorldStore::OnAddRow(int64_t key, RowId row,
@@ -161,10 +159,10 @@ void WorldStore::OnAddRow(int64_t key, RowId row,
   op.add = true;
   op.key = key;
   op.values = values;
-  wal_ops_.push_back(std::move(op));
+  ops_.push_back(std::move(op));
   // The structural rewrite re-pages every row from `row` up, so the new
-  // row's cells need no pool_cells_ entries.
-  if (pool_struct_min_ < 0 || row < pool_struct_min_) pool_struct_min_ = row;
+  // row's cells need no cells_ entries.
+  if (struct_min_ < 0 || row < struct_min_) struct_min_ = row;
 }
 
 void WorldStore::OnRemoveRows(RowId first_row,
@@ -172,10 +170,8 @@ void WorldStore::OnRemoveRows(RowId first_row,
   StructOp op;
   op.add = false;
   op.keys = keys;
-  wal_ops_.push_back(std::move(op));
-  if (pool_struct_min_ < 0 || first_row < pool_struct_min_) {
-    pool_struct_min_ = first_row;
-  }
+  ops_.push_back(std::move(op));
+  if (struct_min_ < 0 || first_row < struct_min_) struct_min_ = first_row;
 }
 
 // --- page-cache maintenance ------------------------------------------------
@@ -213,15 +209,16 @@ Status WorldStore::RewriteRows(const EnvironmentTable& table, RowId from_row) {
 }
 
 Status WorldStore::FlushPoolDeltas(const EnvironmentTable& table) {
-  if (pool_struct_min_ < 0 && pool_cells_.empty()) return Status::OK();
+  ops_.clear();  // already logged by CommitTick, or in the checkpoint image
+  if (struct_min_ < 0 && cells_.empty()) return Status::OK();
   if (num_slots_ == 0) SetLayout(table.schema());
   RowId rewritten_from = std::numeric_limits<RowId>::max();
-  if (pool_struct_min_ >= 0) {
-    rewritten_from = pool_struct_min_;
-    SGL_RETURN_NOT_OK(RewriteRows(table, pool_struct_min_));
+  if (struct_min_ >= 0) {
+    rewritten_from = struct_min_;
+    SGL_RETURN_NOT_OK(RewriteRows(table, struct_min_));
   }
   std::vector<AttrId> attrs;
-  for (const auto& entry : pool_cells_) {
+  for (const auto& entry : cells_) {
     const RowId row = table.RowOf(entry.first);
     // Removed keys and rewritten rows are already on their pages.
     if (row < 0 || row >= rewritten_from) continue;
@@ -230,8 +227,8 @@ Status WorldStore::FlushPoolDeltas(const EnvironmentTable& table) {
       SGL_RETURN_NOT_OK(WriteCell(row, a, PackDouble(table.Get(row, a))));
     }
   }
-  pool_cells_.clear();
-  pool_struct_min_ = -1;
+  cells_.clear();
+  struct_min_ = -1;
   return Status::OK();
 }
 
@@ -265,7 +262,7 @@ Status WorldStore::CommitTick(const EnvironmentTable& table, int64_t tick) {
     WalAppendLE(&body, static_cast<uint64_t>(tick), 8);
     SGL_RETURN_NOT_OK(wal_.Append(WalRecordType::kTickBegin, body, &bytes));
     ++records;
-    for (const StructOp& op : wal_ops_) {
+    for (const StructOp& op : ops_) {
       body.clear();
       if (op.add) {
         WalAppendLE(&body, static_cast<uint64_t>(op.key), 8);
@@ -283,11 +280,11 @@ Status WorldStore::CommitTick(const EnvironmentTable& table, int64_t tick) {
       ++records;
     }
     // One CellDeltas record: the final value of every surviving cell the
-    // tick dirtied, sorted by key (wal_cells_ is an ordered map).
+    // tick dirtied, sorted by key (cells_ is an ordered map).
     std::string cells;
     uint32_t count = 0;
     std::vector<AttrId> attrs;
-    for (const auto& entry : wal_cells_) {
+    for (const auto& entry : cells_) {
       const RowId row = table.RowOf(entry.first);
       if (row < 0) continue;  // written then removed within the tick
       ExpandMask(entry.second, &attrs);
@@ -312,8 +309,6 @@ Status WorldStore::CommitTick(const EnvironmentTable& table, int64_t tick) {
     if (wal_bytes_ != nullptr) wal_bytes_->Add(bytes);
     if (wal_records_ != nullptr) wal_records_->Add(records);
   }
-  wal_ops_.clear();
-  wal_cells_.clear();
   SGL_RETURN_NOT_OK(FlushPoolDeltas(table));
   if (config_.checkpoint_every > 0 &&
       (tick + 1) % config_.checkpoint_every == 0) {
@@ -328,13 +323,13 @@ Status WorldStore::Checkpoint(const EnvironmentTable& table, int64_t tick) {
   if (num_slots_ == 0) SetLayout(table.schema());
   if (!synced_) {
     // First checkpoint into this directory (or an explicit overwrite of
-    // an unrestored world): drop stale accumulators, write a full image.
-    wal_ops_.clear();
-    wal_cells_.clear();
-    pool_cells_.clear();
-    pool_struct_min_ = 0;
+    // an unrestored world): drop stale deltas, write a full image.
+    cells_.clear();
+    struct_min_ = 0;
     synced_ = true;
   }
+  // Deltas since the last commit go to the pages only: the image this
+  // checkpoint publishes holds them, so no later WAL tick replays them.
   SGL_RETURN_NOT_OK(FlushPoolDeltas(table));
   SGL_RETURN_NOT_OK(pool_->FlushDirty(nullptr));
   SGL_RETURN_NOT_OK(file_.Sync());
@@ -394,6 +389,20 @@ Status WorldStore::WriteManifest(const EnvironmentTable& table, int64_t tick) {
     return Status::Internal("storage: cannot publish manifest ",
                             manifest_path_, ": ", std::strerror(errno));
   }
+  // The rename is durable only once the directory entry is: without this
+  // fsync a published checkpoint can vanish on power loss.
+  const int dir_fd = ::open(config_.path.c_str(), O_RDONLY | O_DIRECTORY);
+  if (dir_fd < 0) {
+    return Status::Internal("storage: cannot open directory ", config_.path,
+                            ": ", std::strerror(errno));
+  }
+  const int sync_errno = ::fsync(dir_fd) == 0 ? 0 : errno;
+  ::close(dir_fd);
+  if (sync_errno != 0) {
+    return Status::Internal("storage: cannot sync directory ", config_.path,
+                            ": ", std::strerror(sync_errno));
+  }
+  if (fsyncs_ != nullptr) fsyncs_->Add(1);
   return Status::OK();
 }
 
@@ -655,12 +664,11 @@ Result<RecoveredWorld> WorldStore::Replay(int64_t target) {
 
 void WorldStore::MarkWorldInstalled() {
   synced_ = true;
-  wal_ops_.clear();
-  wal_cells_.clear();
-  pool_cells_.clear();
+  ops_.clear();
+  cells_.clear();
   // Cached pages hold checkpoint-state bytes; the WAL replay that built
   // the installed table never touched them. Resync from row 0.
-  pool_struct_min_ = 0;
+  struct_min_ = 0;
 }
 
 }  // namespace storage

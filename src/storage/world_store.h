@@ -16,19 +16,18 @@
 // so every table value round-trips exactly.
 //
 // The store listens to the live table (TableDeltaListener) and keeps
-// two delta accumulators over the same events:
-//   - the WAL set, harvested once per tick by CommitTick into one
-//     CellDeltas record (final end-of-tick values, keyed by unit key)
-//     plus the tick's structural ops in occurrence order;
-//   - the pool set, drained by FlushPoolDeltas into the page cache.
-// They drain at different times because shard ghost refresh reads pages
-// mid-tick (after action drain + effect reset, before decisions), so
-// the pool must be current then, while WAL records must describe the
-// whole tick.
+// one delta accumulator: the changed cells (unit key -> attr mask), the
+// structural ops in occurrence order, and the lowest structurally
+// rewritten row. CommitTick appends it to the WAL as one tick record
+// (a CellDeltas record holds the final end-of-tick values), writes the
+// same cells to the page cache, and clears it. Checkpoint writes it to
+// the page cache and clears it without logging: the checkpoint image
+// already holds those writes, so writes made between ticks never reach
+// the next tick's WAL record.
 //
 // Checkpoint = flush dirty frames to scratch slots, fsync, promote the
-// scratch slots, publish the manifest (write-temp + fsync + rename),
-// truncate the WAL. Cost is O(pages touched since the last checkpoint),
+// scratch slots, publish the manifest (write-temp + fsync + rename +
+// directory fsync), truncate the WAL. Cost is O(pages touched since the last checkpoint),
 // not O(table). Recover/Materialize = load the manifest's committed
 // image and replay committed WAL ticks; a torn trailing tick (crash
 // mid-append) is dropped, a checksum failure anywhere is corruption.
@@ -89,16 +88,6 @@ class WorldStore : public TableDeltaListener {
   /// checkpoint_every divides the new state tick.
   Status CommitTick(const EnvironmentTable& table, int64_t tick);
 
-  /// Bring cached pages up to date with `table` (applies the pending
-  /// pool delta set). Called by CommitTick and, mid-tick, by the shard
-  /// runtime before ghost reads.
-  Status FlushPoolDeltas(const EnvironmentTable& table);
-
-  /// Read row `row`'s attribute values (attrs 1..k into values[0..k-1])
-  /// through the buffer pool. Thread-safe; the page cache must be
-  /// current (FlushPoolDeltas) for rows written this tick.
-  Status ReadRow(RowId row, std::vector<double>* values);
-
   /// Rebuild the latest durable state: checkpoint image + full WAL
   /// replay (dropping a torn trailing tick).
   Result<RecoveredWorld> Recover();
@@ -145,6 +134,14 @@ class WorldStore : public TableDeltaListener {
   /// Rewrite every page covering rows >= from_row from `table`.
   Status RewriteRows(const EnvironmentTable& table, RowId from_row);
 
+  /// Bring cached pages up to date with `table` from the delta
+  /// accumulator, then clear it.
+  Status FlushPoolDeltas(const EnvironmentTable& table);
+
+  /// Read row `row`'s attribute values (attrs 1..k into values[0..k-1])
+  /// through the buffer pool.
+  Status ReadRow(RowId row, std::vector<double>* values);
+
   Status WriteManifest(const EnvironmentTable& table, int64_t tick);
   struct Manifest {
     int64_t tick = 0;
@@ -169,13 +166,11 @@ class WorldStore : public TableDeltaListener {
   bool has_world_ = false;
   bool synced_ = false;
 
-  // WAL accumulator (cleared each CommitTick).
-  std::map<int64_t, uint64_t> wal_cells_;  // key -> changed-attr mask
-  std::vector<StructOp> wal_ops_;
-
-  // Pool accumulator (cleared each FlushPoolDeltas).
-  std::map<int64_t, uint64_t> pool_cells_;
-  RowId pool_struct_min_ = -1;  // lowest structurally-affected row; -1 = none
+  // Delta accumulator since the last CommitTick or Checkpoint (cleared
+  // by FlushPoolDeltas).
+  std::map<int64_t, uint64_t> cells_;  // key -> changed-attr mask
+  std::vector<StructOp> ops_;
+  RowId struct_min_ = -1;  // lowest structurally-affected row; -1 = none
 
   obs::Counter* wal_bytes_ = nullptr;
   obs::Counter* wal_records_ = nullptr;

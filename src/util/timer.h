@@ -5,8 +5,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <map>
-#include <string>
 
 namespace sgl {
 
@@ -34,60 +32,6 @@ class Timer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Accumulates named durations, e.g. per engine phase across many ticks.
-class PhaseTimes {
- public:
-  void Add(const std::string& phase, double seconds) {
-    Add(phase, seconds, 1);
-  }
-
-  /// Record `count` invocations totalling `seconds` at once (used when
-  /// repackaging aggregated PhaseStats into this legacy view).
-  void Add(const std::string& phase, double seconds, int64_t count) {
-    totals_[phase] += seconds;
-    counts_[phase] += count;
-  }
-
-  double Total(const std::string& phase) const {
-    auto it = totals_.find(phase);
-    return it == totals_.end() ? 0.0 : it->second;
-  }
-
-  int64_t Count(const std::string& phase) const {
-    auto it = counts_.find(phase);
-    return it == counts_.end() ? 0 : it->second;
-  }
-
-  const std::map<std::string, double>& totals() const { return totals_; }
-
-  void Clear() {
-    totals_.clear();
-    counts_.clear();
-  }
-
- private:
-  std::map<std::string, double> totals_;
-  std::map<std::string, int64_t> counts_;
-};
-
-/// RAII helper: adds elapsed time to a PhaseTimes slot on destruction.
-class ScopedPhaseTimer {
- public:
-  ScopedPhaseTimer(PhaseTimes* sink, std::string phase)
-      : sink_(sink), phase_(std::move(phase)) {}
-  ~ScopedPhaseTimer() {
-    if (sink_ != nullptr) sink_->Add(phase_, timer_.Seconds());
-  }
-
-  ScopedPhaseTimer(const ScopedPhaseTimer&) = delete;
-  ScopedPhaseTimer& operator=(const ScopedPhaseTimer&) = delete;
-
- private:
-  PhaseTimes* sink_;
-  std::string phase_;
-  Timer timer_;
 };
 
 }  // namespace sgl

@@ -224,55 +224,3 @@ INSTANTIATE_TEST_SUITE_P(
 
 }  // namespace
 }  // namespace sgl
-
-// The retired Engine shim (engine/engine.h) stays one release as a
-// [[deprecated]] header-only wrapper. This is its only remaining user:
-// a parity check that the shim still drives the exact simulation the
-// facade does, so out-of-tree code on the old API keeps exact behavior
-// until the header is removed.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#include "engine/engine.h"
-
-namespace sgl {
-namespace {
-
-TEST(EngineShim, DeprecatedEngineMatchesSimulationFacade) {
-  ScenarioConfig config;
-  config.num_units = 60;
-  config.seed = 17;
-
-  auto table = BuildScenario(config);
-  ASSERT_TRUE(table.ok());
-  auto script = CompileScript(BattleScriptSource(), BattleSchema());
-  ASSERT_TRUE(script.ok());
-  const int64_t side = config.GridSide();
-  BattleMechanics mechanics(side, side, /*resurrect=*/true);
-  EngineConfig legacy_config;
-  legacy_config.eval_mode = EvaluatorMode::kIndexed;
-  legacy_config.seed = config.seed;
-  legacy_config.grid_width = side;
-  legacy_config.grid_height = side;
-  legacy_config.step_per_tick = D20::kWalkPerTick;
-  auto engine = Engine::Create(script.MoveValue(), table.MoveValue(),
-                               &mechanics, legacy_config);
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-
-  auto facade = MakeBattleSim(config, EvaluatorMode::kIndexed);
-  ASSERT_TRUE(facade.ok()) << facade.status().ToString();
-
-  ASSERT_TRUE((*engine)->Run(10).ok());
-  ASSERT_TRUE(facade->sim->Run(10).ok());
-  EXPECT_TRUE((*engine)->table().Equals(facade->sim->table()))
-      << (*engine)->table().DiffString(facade->sim->table());
-
-  // The legacy phase_times view still reports the historical keys.
-  const PhaseTimes& times = (*engine)->phase_times();
-  EXPECT_EQ(10, times.Count("1:index-build"));
-  EXPECT_EQ(10, times.Count("2:decision"));
-  EXPECT_EQ(10, times.Count("4:apply"));
-}
-
-}  // namespace
-}  // namespace sgl
-#pragma GCC diagnostic pop

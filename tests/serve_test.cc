@@ -2,8 +2,8 @@
 //
 //  * Lockstep: K sessions sharing one SessionManager pool must be
 //    bit-identical to the same simulations run solo, for every registered
-//    scenario x {naive, indexed, adaptive} x shards {1, 2} x pool size
-//    {1, 4} threads, with and without injected actions.
+//    scenario x {naive, indexed, adaptive} x pool size {1, 4} threads,
+//    with and without injected actions.
 //  * Injected-action replay: a live-injection run is reproduced bit for
 //    bit by replaying its recorded inlet log into a fresh session.
 //  * Admission control: session, row, and queue-depth limits reject with
@@ -43,11 +43,9 @@ ScenarioParams SmallParams() {
   return params;
 }
 
-SimulationConfig ServeConfig(EvaluatorMode mode, int32_t shards,
-                             int32_t threads) {
+SimulationConfig ServeConfig(EvaluatorMode mode, int32_t threads) {
   SimulationConfig config;
   config.eval_mode = mode;
-  config.shards = shards;
   config.threads = threads;
   return config;
 }
@@ -81,75 +79,71 @@ TEST_P(ServeScenarioTest, SharedPoolSessionsMatchSoloRuns) {
 
   for (EvaluatorMode mode : {EvaluatorMode::kNaive, EvaluatorMode::kIndexed,
                              EvaluatorMode::kAdaptive}) {
-    for (int32_t shards : {1, 2}) {
-      for (int32_t threads : {1, 4}) {
-        for (bool inject : {false, true}) {
-          const SimulationConfig config = ServeConfig(mode, shards, threads);
-          const std::string label =
-              name + " mode=" + EvaluatorModeName(mode) +
-              " shards=" + std::to_string(shards) +
-              " threads=" + std::to_string(threads) +
-              " inject=" + std::to_string(inject);
+    for (int32_t threads : {1, 4}) {
+      for (bool inject : {false, true}) {
+        const SimulationConfig config = ServeConfig(mode, threads);
+        const std::string label = name + " mode=" + EvaluatorModeName(mode) +
+                                  " threads=" + std::to_string(threads) +
+                                  " inject=" + std::to_string(inject);
 
-          // Solo baseline: its own pool, same resolved size.
-          auto solo = ScenarioRegistry::Global().BuildSimulation(name, params,
-                                                                config);
-          ASSERT_TRUE(solo.ok()) << label << ": " << solo.status().ToString();
+        // Solo baseline: its own pool, same resolved size.
+        auto solo = ScenarioRegistry::Global().BuildSimulation(name, params,
+                                                              config);
+        ASSERT_TRUE(solo.ok()) << label << ": " << solo.status().ToString();
 
-          SessionManagerOptions options;
-          options.threads = threads;
-          auto manager = SessionManager::Create(options);
-          ASSERT_TRUE(manager.ok()) << manager.status().ToString();
+        SessionManagerOptions options;
+        options.threads = threads;
+        auto manager = SessionManager::Create(options);
+        ASSERT_TRUE(manager.ok()) << manager.status().ToString();
 
-          std::vector<SessionId> ids;
-          for (int32_t s = 0; s < kSessions; ++s) {
-            SimulationBuilder builder;
-            ASSERT_TRUE(ScenarioRegistry::Global()
-                            .PrepareBuilder(name, params, config, &builder)
-                            .ok());
-            auto id = (*manager)->Open(builder);
-            ASSERT_TRUE(id.ok()) << label << ": " << id.status().ToString();
-            ids.push_back(*id);
-            EXPECT_EQ(threads, (*manager)->session(*id)->threads());
-          }
+        std::vector<SessionId> ids;
+        for (int32_t s = 0; s < kSessions; ++s) {
+          SimulationBuilder builder;
+          ASSERT_TRUE(ScenarioRegistry::Global()
+                          .PrepareBuilder(name, params, config, &builder)
+                          .ok());
+          auto id = (*manager)->Open(builder);
+          ASSERT_TRUE(id.ok()) << label << ": " << id.status().ToString();
+          ids.push_back(*id);
+          EXPECT_EQ(threads, (*manager)->session(*id)->threads());
+        }
 
-          for (int64_t tick = 0; tick < kTicks; ++tick) {
-            if (inject) {
-              for (const InjectedAction& action : InjectionsForTick(tick)) {
-                (*solo)->inlet()->Push(action);
-                for (SessionId id : ids) {
-                  ASSERT_TRUE((*manager)->Inject(id, action).ok());
-                }
+        for (int64_t tick = 0; tick < kTicks; ++tick) {
+          if (inject) {
+            for (const InjectedAction& action : InjectionsForTick(tick)) {
+              (*solo)->inlet()->Push(action);
+              for (SessionId id : ids) {
+                ASSERT_TRUE((*manager)->Inject(id, action).ok());
               }
             }
-            ASSERT_TRUE((*solo)->Tick().ok()) << label << " tick " << tick;
-            for (SessionId id : ids) {
-              ASSERT_TRUE((*manager)->ScheduleTicks(id, 1).ok());
-            }
-            auto executed = (*manager)->RunRound();
-            ASSERT_TRUE(executed.ok()) << label << ": "
-                                       << executed.status().ToString();
-            ASSERT_EQ(kSessions, *executed);
-            for (SessionId id : ids) {
-              const Simulation* session = (*manager)->session(id);
-              ASSERT_NE(session, nullptr);
-              ASSERT_TRUE(session->table().Equals((*solo)->table()))
-                  << label << " session " << id << " diverged at tick "
-                  << tick << ":\n"
-                  << session->table().DiffString((*solo)->table());
-            }
           }
-
-          // Deterministic metrics: every co-scheduled session matches the
-          // solo run exactly, like the shard/thread matrices do.
-          const std::string solo_metrics =
-              (*solo)->MetricsJson(/*deterministic_only=*/true);
+          ASSERT_TRUE((*solo)->Tick().ok()) << label << " tick " << tick;
           for (SessionId id : ids) {
-            EXPECT_EQ((*manager)->session(id)->MetricsJson(
-                          /*deterministic_only=*/true),
-                      solo_metrics)
-                << label << ": deterministic metrics diverged from solo";
+            ASSERT_TRUE((*manager)->ScheduleTicks(id, 1).ok());
           }
+          auto executed = (*manager)->RunRound();
+          ASSERT_TRUE(executed.ok()) << label << ": "
+                                     << executed.status().ToString();
+          ASSERT_EQ(kSessions, *executed);
+          for (SessionId id : ids) {
+            const Simulation* session = (*manager)->session(id);
+            ASSERT_NE(session, nullptr);
+            ASSERT_TRUE(session->table().Equals((*solo)->table()))
+                << label << " session " << id << " diverged at tick "
+                << tick << ":\n"
+                << session->table().DiffString((*solo)->table());
+          }
+        }
+
+        // Deterministic metrics: every co-scheduled session matches the
+        // solo run exactly, like the thread matrices do.
+        const std::string solo_metrics =
+            (*solo)->MetricsJson(/*deterministic_only=*/true);
+        for (SessionId id : ids) {
+          EXPECT_EQ((*manager)->session(id)->MetricsJson(
+                        /*deterministic_only=*/true),
+                    solo_metrics)
+              << label << ": deterministic metrics diverged from solo";
         }
       }
     }
@@ -168,7 +162,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ActionInletTest, RecordedLogReplaysBitIdentically) {
   const ScenarioParams params = SmallParams();
   const SimulationConfig config =
-      ServeConfig(EvaluatorMode::kIndexed, 1, 1);
+      ServeConfig(EvaluatorMode::kIndexed, 1);
 
   auto live = ScenarioRegistry::Global().BuildSimulation("battle", params,
                                                          config);
@@ -201,7 +195,7 @@ TEST(ActionInletTest, RecordedLogReplaysBitIdentically) {
 
 TEST(ActionInletTest, StaleKeysDropDeterministically) {
   const SimulationConfig config =
-      ServeConfig(EvaluatorMode::kIndexed, 1, 1);
+      ServeConfig(EvaluatorMode::kIndexed, 1);
   auto sim = ScenarioRegistry::Global().BuildSimulation(
       "battle", SmallParams(), config);
   ASSERT_TRUE(sim.ok());
@@ -304,7 +298,7 @@ TEST(SessionManagerTest, SessionLimitRejectsWithResourceExhausted) {
   SimulationBuilder first;
   ASSERT_TRUE(ScenarioRegistry::Global()
                   .PrepareBuilder("battle", SmallParams(),
-                                  ServeConfig(EvaluatorMode::kIndexed, 1, 1),
+                                  ServeConfig(EvaluatorMode::kIndexed, 1),
                                   &first)
                   .ok());
   ASSERT_TRUE((*manager)->Open(first).ok());
@@ -312,7 +306,7 @@ TEST(SessionManagerTest, SessionLimitRejectsWithResourceExhausted) {
   SimulationBuilder second;
   ASSERT_TRUE(ScenarioRegistry::Global()
                   .PrepareBuilder("battle", SmallParams(),
-                                  ServeConfig(EvaluatorMode::kIndexed, 1, 1),
+                                  ServeConfig(EvaluatorMode::kIndexed, 1),
                                   &second)
                   .ok());
   auto rejected = (*manager)->Open(second);
@@ -332,7 +326,7 @@ TEST(SessionManagerTest, RowLimitRejectsWithResourceExhausted) {
   SimulationBuilder first;
   ASSERT_TRUE(ScenarioRegistry::Global()
                   .PrepareBuilder("battle", SmallParams(),
-                                  ServeConfig(EvaluatorMode::kIndexed, 1, 1),
+                                  ServeConfig(EvaluatorMode::kIndexed, 1),
                                   &first)
                   .ok());
   ASSERT_TRUE((*manager)->Open(first).ok());
@@ -341,7 +335,7 @@ TEST(SessionManagerTest, RowLimitRejectsWithResourceExhausted) {
   SimulationBuilder second;
   ASSERT_TRUE(ScenarioRegistry::Global()
                   .PrepareBuilder("battle", SmallParams(),
-                                  ServeConfig(EvaluatorMode::kIndexed, 1, 1),
+                                  ServeConfig(EvaluatorMode::kIndexed, 1),
                                   &second)
                   .ok());
   auto rejected = (*manager)->Open(second);
@@ -359,7 +353,7 @@ TEST(SessionManagerTest, QueueDepthBackpressureRejectsInject) {
   SimulationBuilder builder;
   ASSERT_TRUE(ScenarioRegistry::Global()
                   .PrepareBuilder("battle", SmallParams(),
-                                  ServeConfig(EvaluatorMode::kIndexed, 1, 1),
+                                  ServeConfig(EvaluatorMode::kIndexed, 1),
                                   &builder)
                   .ok());
   auto id = (*manager)->Open(builder);
@@ -506,8 +500,6 @@ TEST(SimulationConfigTest, ValidateUsesOneErrorVocabulary) {
   };
   for (auto mutate : std::vector<void (*)(SimulationConfig&)>{
            [](SimulationConfig& c) { c.threads = -2; },
-           [](SimulationConfig& c) { c.shards = 0; },
-           [](SimulationConfig& c) { c.shards = 65; },
            [](SimulationConfig& c) { c.move_y_attr = ""; },
            [](SimulationConfig& c) { c.grid_width = 0; },
            [](SimulationConfig& c) { c.grid_height = -1; },
@@ -531,7 +523,7 @@ TEST(SimulationConfigTest, ValidateUsesOneErrorVocabulary) {
 
 TEST(SimulationConfigTest, BuildRejectsWhatValidateRejects) {
   auto builder = TinyWorldBuilder(1);
-  builder->config().shards = 77;
+  builder->config().threads = -3;
   auto sim = builder->Build();
   ASSERT_FALSE(sim.ok());
   EXPECT_EQ(StatusCode::kInvalidArgument, sim.status().code());
@@ -543,7 +535,7 @@ TEST(SimulationConfigTest, BuildRejectsWhatValidateRejects) {
 
 TEST(ExecutorSeamTest, SharedExecutorMatchesPrivatePool) {
   const ScenarioParams params = SmallParams();
-  SimulationConfig config = ServeConfig(EvaluatorMode::kIndexed, 1, 4);
+  SimulationConfig config = ServeConfig(EvaluatorMode::kIndexed, 4);
   auto own_pool = ScenarioRegistry::Global().BuildSimulation("battle", params,
                                                              config);
   ASSERT_TRUE(own_pool.ok());
@@ -570,7 +562,7 @@ TEST(ExecutorSeamTest, SharedExecutorMatchesPrivatePool) {
 
 TEST(SnapshotCodecTest, RoundTripsBitExactly) {
   auto sim = ScenarioRegistry::Global().BuildSimulation(
-      "battle", SmallParams(), ServeConfig(EvaluatorMode::kIndexed, 1, 1));
+      "battle", SmallParams(), ServeConfig(EvaluatorMode::kIndexed, 1));
   ASSERT_TRUE(sim.ok());
   ASSERT_TRUE((*sim)->Run(5).ok());
 
@@ -596,7 +588,7 @@ TEST(SnapshotCodecTest, RoundTripsBitExactly) {
   const std::string dir = ::testing::TempDir() + "/codec_ckpt";
   ASSERT_TRUE((*sim)->Checkpoint(dir).ok());
   auto twin = ScenarioRegistry::Global().BuildSimulation(
-      "battle", SmallParams(), ServeConfig(EvaluatorMode::kIndexed, 1, 1));
+      "battle", SmallParams(), ServeConfig(EvaluatorMode::kIndexed, 1));
   ASSERT_TRUE(twin.ok());
   ASSERT_TRUE((*twin)->RestoreFrom(dir).ok());
   EXPECT_EQ(5, (*twin)->tick_count());
@@ -608,7 +600,7 @@ TEST(SnapshotCodecTest, RoundTripsBitExactly) {
 
 TEST(SnapshotCodecTest, RejectsCorruptBytes) {
   auto sim = ScenarioRegistry::Global().BuildSimulation(
-      "battle", SmallParams(), ServeConfig(EvaluatorMode::kIndexed, 1, 1));
+      "battle", SmallParams(), ServeConfig(EvaluatorMode::kIndexed, 1));
   ASSERT_TRUE(sim.ok());
   std::string bytes;
   const SimulationSnapshot snapshot{(*sim)->table().Clone(),

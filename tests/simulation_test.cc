@@ -504,21 +504,6 @@ TEST(Simulation, RestoreRejectsForeignSchema) {
             (*sim)->RestoreFrom(::testing::TempDir() + "/no_such_ckpt").code());
 }
 
-TEST(Simulation, DeprecatedSnapshotShimsMatchTheFacade) {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  auto sim = MakeFarm(EvaluatorMode::kIndexed, 77);
-  ASSERT_TRUE(sim.ok());
-  ASSERT_TRUE((*sim)->Run(5).ok());
-  SimulationSnapshot snap = (*sim)->Snapshot();
-  EXPECT_EQ(5, snap.tick_count);
-  ASSERT_TRUE((*sim)->Run(5).ok());
-  ASSERT_TRUE((*sim)->Restore(snap).ok());
-  EXPECT_EQ(5, (*sim)->tick_count());
-  EXPECT_TRUE((*sim)->table().Equals(snap.table));
-#pragma GCC diagnostic pop
-}
-
 TEST(Simulation, ExplainCoversAllScripts) {
   auto sim = MakeFarm(EvaluatorMode::kIndexed, 29);
   ASSERT_TRUE(sim.ok());

@@ -2,11 +2,12 @@
 //
 //  * Bit-exactness: a storage-backed run is identical to the in-memory
 //    run — tables and deterministic metrics — for every registered
-//    scenario x {naive, indexed, adaptive} x shards {1, 2} x threads
-//    {1, 4}.
+//    scenario x {naive, indexed, adaptive} x threads {1, 4}.
 //  * Crash recovery: a run hard-killed mid-tick-stream (fork + _exit, no
 //    destructors, no final checkpoint) reopens, replays the WAL, and
 //    continues bit-identically to a run that was never interrupted.
+//    Table edits made between ticks (AddRow, Set) survive a checkpoint
+//    and the WAL ticks after it.
 //  * Corruption: a flipped page byte or a flipped WAL byte is refused
 //    with kInvalidArgument; a torn WAL tail (truncation) silently drops
 //    the partial tick and recovers to the last committed one.
@@ -23,6 +24,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -75,11 +77,10 @@ std::string FreshDir(const std::string& name) {
 }
 
 SimulationConfig StorageConfigFor(const std::string& dir, EvaluatorMode mode,
-                                  int32_t shards, int32_t threads,
+                                  int32_t threads,
                                   int64_t checkpoint_every = 0) {
   SimulationConfig config;
   config.eval_mode = mode;
-  config.shards = shards;
   config.threads = threads;
   config.storage.path = dir;
   config.storage.page_size = 512;  // small pages: many of them, real churn
@@ -236,41 +237,37 @@ TEST(StorageBitExactTest, MatchesInMemoryAcrossTheMatrix) {
   for (const std::string& scenario : ScenarioRegistry::Global().List()) {
     for (EvaluatorMode mode : {EvaluatorMode::kNaive, EvaluatorMode::kIndexed,
                                EvaluatorMode::kAdaptive}) {
-      for (int32_t shards : {1, 2}) {
-        for (int32_t threads : {1, 4}) {
-          SCOPED_TRACE(scenario + " mode=" +
-                       std::to_string(static_cast<int>(mode)) +
-                       " shards=" + std::to_string(shards) +
-                       " threads=" + std::to_string(threads));
-          SimulationConfig mem_config;
-          mem_config.eval_mode = mode;
-          mem_config.shards = shards;
-          mem_config.threads = threads;
-          auto mem = BuildScenario(scenario, mem_config);
-          ASSERT_NE(nullptr, mem);
-          ASSERT_TRUE(mem->Run(kTicks).ok());
+      for (int32_t threads : {1, 4}) {
+        SCOPED_TRACE(scenario + " mode=" +
+                     std::to_string(static_cast<int>(mode)) +
+                     " threads=" + std::to_string(threads));
+        SimulationConfig mem_config;
+        mem_config.eval_mode = mode;
+        mem_config.threads = threads;
+        auto mem = BuildScenario(scenario, mem_config);
+        ASSERT_NE(nullptr, mem);
+        ASSERT_TRUE(mem->Run(kTicks).ok());
 
-          const std::string dir = FreshDir("matrix_world");
-          auto durable = BuildScenario(
-              scenario, StorageConfigFor(dir, mode, shards, threads,
-                                         /*checkpoint_every=*/7));
-          ASSERT_NE(nullptr, durable);
-          ASSERT_TRUE(durable->Run(kTicks).ok());
+        const std::string dir = FreshDir("matrix_world");
+        auto durable = BuildScenario(
+            scenario,
+            StorageConfigFor(dir, mode, threads, /*checkpoint_every=*/7));
+        ASSERT_NE(nullptr, durable);
+        ASSERT_TRUE(durable->Run(kTicks).ok());
 
-          EXPECT_TRUE(durable->table().Equals(mem->table()))
-              << durable->table().DiffString(mem->table());
-          EXPECT_EQ(durable->MetricsJson(/*deterministic_only=*/true),
-                    mem->MetricsJson(/*deterministic_only=*/true));
+        EXPECT_TRUE(durable->table().Equals(mem->table()))
+            << durable->table().DiffString(mem->table());
+        EXPECT_EQ(durable->MetricsJson(/*deterministic_only=*/true),
+                  mem->MetricsJson(/*deterministic_only=*/true));
 
-          // And the durable world recovers to exactly the final state.
-          auto reopened = BuildScenario(
-              scenario, StorageConfigFor(dir, mode, shards, threads));
-          ASSERT_NE(nullptr, reopened);
-          ASSERT_TRUE(reopened->RestoreFrom(dir).ok());
-          EXPECT_EQ(kTicks, reopened->tick_count());
-          EXPECT_TRUE(reopened->table().Equals(mem->table()))
-              << reopened->table().DiffString(mem->table());
-        }
+        // And the durable world recovers to exactly the final state.
+        auto reopened =
+            BuildScenario(scenario, StorageConfigFor(dir, mode, threads));
+        ASSERT_NE(nullptr, reopened);
+        ASSERT_TRUE(reopened->RestoreFrom(dir).ok());
+        EXPECT_EQ(kTicks, reopened->tick_count());
+        EXPECT_TRUE(reopened->table().Equals(mem->table()))
+            << reopened->table().DiffString(mem->table());
       }
     }
   }
@@ -283,45 +280,41 @@ TEST(StorageRecoveryTest, KillAndRecoverResumesBitExactly) {
   const int64_t kTotal = 30;
   for (EvaluatorMode mode : {EvaluatorMode::kNaive, EvaluatorMode::kIndexed,
                              EvaluatorMode::kAdaptive}) {
-    for (int32_t shards : {1, 2}) {
-      SCOPED_TRACE("mode=" + std::to_string(static_cast<int>(mode)) +
-                   " shards=" + std::to_string(shards));
-      const std::string dir = FreshDir("kill_world");
+    SCOPED_TRACE("mode=" + std::to_string(static_cast<int>(mode)));
+    const std::string dir = FreshDir("kill_world");
 
-      const pid_t pid = fork();
-      ASSERT_GE(pid, 0);
-      if (pid == 0) {
-        // Child: tick past a checkpoint, then die without destructors —
-        // no flush, no final checkpoint, exactly like a crash.
-        auto victim = ScenarioRegistry::Global().BuildSimulation(
-            "battle", SmallParams(),
-            StorageConfigFor(dir, mode, shards, /*threads=*/1,
-                             /*checkpoint_every=*/5));
-        if (!victim.ok() || !(*victim)->Run(kKillAfter).ok()) _exit(7);
-        _exit(0);
-      }
-      int wstatus = 0;
-      ASSERT_EQ(pid, waitpid(pid, &wstatus, 0));
-      ASSERT_TRUE(WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0);
-
-      // Survivor: reopen, recover the latest durable tick, run on.
-      auto survivor = BuildScenario(
-          "battle", StorageConfigFor(dir, mode, shards, /*threads=*/1,
-                                     /*checkpoint_every=*/5));
-      ASSERT_NE(nullptr, survivor);
-      ASSERT_TRUE(survivor->RestoreFrom(dir).ok());
-      EXPECT_EQ(kKillAfter, survivor->tick_count());
-      ASSERT_TRUE(survivor->Run(kTotal - kKillAfter).ok());
-
-      SimulationConfig mem_config;
-      mem_config.eval_mode = mode;
-      mem_config.shards = shards;
-      auto uninterrupted = BuildScenario("battle", mem_config);
-      ASSERT_NE(nullptr, uninterrupted);
-      ASSERT_TRUE(uninterrupted->Run(kTotal).ok());
-      EXPECT_TRUE(survivor->table().Equals(uninterrupted->table()))
-          << survivor->table().DiffString(uninterrupted->table());
+    const pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      // Child: tick past a checkpoint, then die without destructors —
+      // no flush, no final checkpoint, exactly like a crash.
+      auto victim = ScenarioRegistry::Global().BuildSimulation(
+          "battle", SmallParams(),
+          StorageConfigFor(dir, mode, /*threads=*/1,
+                           /*checkpoint_every=*/5));
+      if (!victim.ok() || !(*victim)->Run(kKillAfter).ok()) _exit(7);
+      _exit(0);
     }
+    int wstatus = 0;
+    ASSERT_EQ(pid, waitpid(pid, &wstatus, 0));
+    ASSERT_TRUE(WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0);
+
+    // Survivor: reopen, recover the latest durable tick, run on.
+    auto survivor = BuildScenario(
+        "battle",
+        StorageConfigFor(dir, mode, /*threads=*/1, /*checkpoint_every=*/5));
+    ASSERT_NE(nullptr, survivor);
+    ASSERT_TRUE(survivor->RestoreFrom(dir).ok());
+    EXPECT_EQ(kKillAfter, survivor->tick_count());
+    ASSERT_TRUE(survivor->Run(kTotal - kKillAfter).ok());
+
+    SimulationConfig mem_config;
+    mem_config.eval_mode = mode;
+    auto uninterrupted = BuildScenario("battle", mem_config);
+    ASSERT_NE(nullptr, uninterrupted);
+    ASSERT_TRUE(uninterrupted->Run(kTotal).ok());
+    EXPECT_TRUE(survivor->table().Equals(uninterrupted->table()))
+        << survivor->table().DiffString(uninterrupted->table());
   }
 }
 
@@ -329,13 +322,19 @@ TEST(StorageRecoveryTest, BuildRefusesToTickOverAnUnrestoredWorld) {
   const std::string dir = FreshDir("unrestored_world");
   {
     auto sim = BuildScenario(
-        "battle", StorageConfigFor(dir, EvaluatorMode::kIndexed, 1, 1));
+        "battle", StorageConfigFor(dir, EvaluatorMode::kIndexed, 1));
     ASSERT_NE(nullptr, sim);
     ASSERT_TRUE(sim->Run(5).ok());
+    const obs::Counter* fsyncs =
+        sim->mutable_metrics()->GetCounter("storage.fsyncs");
+    const int64_t before = fsyncs->value();
     ASSERT_TRUE(sim->Checkpoint(dir).ok());
+    // One checkpoint fsyncs the page file, the manifest temp file, the
+    // directory holding the renamed manifest, and the reset WAL.
+    EXPECT_EQ(4, fsyncs->value() - before);
   }
   auto sim = BuildScenario(
-      "battle", StorageConfigFor(dir, EvaluatorMode::kIndexed, 1, 1));
+      "battle", StorageConfigFor(dir, EvaluatorMode::kIndexed, 1));
   ASSERT_NE(nullptr, sim);
   Status st = sim->Tick();
   ASSERT_FALSE(st.ok());
@@ -345,11 +344,59 @@ TEST(StorageRecoveryTest, BuildRefusesToTickOverAnUnrestoredWorld) {
   EXPECT_TRUE(sim->Tick().ok());
 }
 
+/// Run 4 ticks, edit the table between ticks with `edit`, checkpoint,
+/// run 3 more ticks, then recover the world into a fresh simulation and
+/// expect exactly the live table.
+void ExpectBetweenTickEditRecovers(
+    const std::string& name,
+    const std::function<void(EnvironmentTable*)>& edit) {
+  const std::string dir = FreshDir(name);
+  EnvironmentTable expected{Schema()};
+  {
+    auto sim = BuildScenario(
+        "battle", StorageConfigFor(dir, EvaluatorMode::kIndexed, 1));
+    ASSERT_NE(nullptr, sim);
+    ASSERT_TRUE(sim->Run(4).ok());
+    edit(sim->mutable_table());
+    ASSERT_TRUE(sim->Checkpoint(dir).ok());
+    ASSERT_TRUE(sim->Run(3).ok());
+    expected = sim->table().Clone();
+  }
+  auto restored = BuildScenario(
+      "battle", StorageConfigFor(dir, EvaluatorMode::kIndexed, 1));
+  ASSERT_NE(nullptr, restored);
+  Status st = restored->RestoreFrom(dir);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(7, restored->tick_count());
+  EXPECT_TRUE(restored->table().Equals(expected))
+      << restored->table().DiffString(expected);
+}
+
+TEST(StorageRecoveryTest, RowAddedBetweenTicksIsNotReplayedTwice) {
+  // The checkpoint image holds the new row, so the WAL ticks after it
+  // must not add it again.
+  ExpectBetweenTickEditRecovers("between_ticks_add", [](EnvironmentTable* t) {
+    std::vector<double> values;
+    for (AttrId a = 1; a < t->schema().NumAttrs(); ++a) {
+      values.push_back(t->Get(0, a));
+    }
+    ASSERT_TRUE(t->AddRow(values).ok());
+  });
+}
+
+TEST(StorageRecoveryTest, CellWrittenBetweenTicksSurvivesCheckpoint) {
+  ExpectBetweenTickEditRecovers("between_ticks_set", [](EnvironmentTable* t) {
+    const AttrId health = t->schema().Find("health");
+    ASSERT_NE(Schema::kInvalidAttr, health);
+    t->Set(1, health, t->Get(1, health) + 5.0);
+  });
+}
+
 TEST(StorageRecoveryTest, TornWalTailRecoversToLastCommittedTick) {
   const std::string dir = FreshDir("torn_world");
   {
     auto sim = BuildScenario(
-        "battle", StorageConfigFor(dir, EvaluatorMode::kIndexed, 1, 1,
+        "battle", StorageConfigFor(dir, EvaluatorMode::kIndexed, 1,
                                    /*checkpoint_every=*/5));
     ASSERT_NE(nullptr, sim);
     ASSERT_TRUE(sim->Run(13).ok());
@@ -361,7 +408,7 @@ TEST(StorageRecoveryTest, TornWalTailRecoversToLastCommittedTick) {
   ASSERT_EQ(0, ::truncate(wal_path.c_str(), sb.st_size - 5));
 
   auto store = WorldStore::Open(
-      StorageConfigFor(dir, EvaluatorMode::kIndexed, 1, 1).storage, nullptr);
+      StorageConfigFor(dir, EvaluatorMode::kIndexed, 1).storage, nullptr);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   auto world = (*store)->Recover();
   ASSERT_TRUE(world.ok()) << world.status().ToString();
@@ -383,7 +430,7 @@ TEST(StorageRecoveryTest, CorruptPageIsRefused) {
   const std::string dir = FreshDir("corrupt_world");
   {
     auto sim = BuildScenario(
-        "battle", StorageConfigFor(dir, EvaluatorMode::kIndexed, 1, 1));
+        "battle", StorageConfigFor(dir, EvaluatorMode::kIndexed, 1));
     ASSERT_NE(nullptr, sim);
     ASSERT_TRUE(sim->Run(8).ok());
     ASSERT_TRUE(sim->Checkpoint(dir).ok());
@@ -407,7 +454,7 @@ TEST(StorageRecoveryTest, CorruptPageIsRefused) {
     }
   }
   auto store = WorldStore::Open(
-      StorageConfigFor(dir, EvaluatorMode::kIndexed, 1, 1).storage, nullptr);
+      StorageConfigFor(dir, EvaluatorMode::kIndexed, 1).storage, nullptr);
   ASSERT_TRUE(store.ok());
   Status st = (*store)->Recover().status();
   ASSERT_FALSE(st.ok());
@@ -428,7 +475,7 @@ TEST(StorageOutOfCoreTest, TinyPoolCompletes100Ticks) {
   // beyond 4 frames: every tick faults and evicts.
   const std::string dir = FreshDir("outofcore_world");
   SimulationConfig config =
-      StorageConfigFor(dir, EvaluatorMode::kIndexed, 1, 1,
+      StorageConfigFor(dir, EvaluatorMode::kIndexed, 1,
                        /*checkpoint_every=*/10);
   config.storage.page_size = 128;
   config.storage.pool_pages = 4;
@@ -449,7 +496,7 @@ TEST(StorageTimeTravelTest, MaterializeRebuildsAnyLoggedTick) {
   std::vector<EnvironmentTable> states;  // state after each tick 0..27
   {
     auto sim = BuildScenario(
-        "battle", StorageConfigFor(dir, EvaluatorMode::kIndexed, 1, 1,
+        "battle", StorageConfigFor(dir, EvaluatorMode::kIndexed, 1,
                                    /*checkpoint_every=*/10));
     ASSERT_NE(nullptr, sim);
     for (int64_t t = 0; t < 27; ++t) {
@@ -461,7 +508,7 @@ TEST(StorageTimeTravelTest, MaterializeRebuildsAnyLoggedTick) {
 
   // Read-only queries: every tick from the last checkpoint (20) onward.
   auto store = WorldStore::Open(
-      StorageConfigFor(dir, EvaluatorMode::kIndexed, 1, 1).storage, nullptr);
+      StorageConfigFor(dir, EvaluatorMode::kIndexed, 1).storage, nullptr);
   ASSERT_TRUE(store.ok());
   for (int64_t t = 20; t <= 27; ++t) {
     auto world = (*store)->Materialize(t);
@@ -480,7 +527,7 @@ TEST(StorageTimeTravelTest, MaterializeRebuildsAnyLoggedTick) {
 
   // Rewind a live simulation to tick 23 and re-run: same future.
   auto sim = BuildScenario(
-      "battle", StorageConfigFor(dir, EvaluatorMode::kIndexed, 1, 1));
+      "battle", StorageConfigFor(dir, EvaluatorMode::kIndexed, 1));
   ASSERT_NE(nullptr, sim);
   ASSERT_TRUE(sim->RestoreFrom(dir, 23).ok());
   EXPECT_EQ(23, sim->tick_count());

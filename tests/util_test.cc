@@ -5,7 +5,6 @@
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/string_util.h"
-#include "util/timer.h"
 
 namespace sgl {
 namespace {
@@ -114,27 +113,6 @@ TEST(StringUtil, JoinRepeatFormat) {
   EXPECT_EQ("1.500", FormatDouble(1.5));
   EXPECT_TRUE(StartsWith("foobar", "foo"));
   EXPECT_FALSE(StartsWith("fo", "foo"));
-}
-
-TEST(PhaseTimes, AccumulatesByName) {
-  PhaseTimes pt;
-  pt.Add("decision", 0.5);
-  pt.Add("decision", 0.25);
-  pt.Add("index", 1.0);
-  EXPECT_DOUBLE_EQ(0.75, pt.Total("decision"));
-  EXPECT_EQ(2, pt.Count("decision"));
-  EXPECT_DOUBLE_EQ(0.0, pt.Total("missing"));
-  pt.Clear();
-  EXPECT_EQ(0, pt.Count("decision"));
-}
-
-TEST(PhaseTimes, ScopedTimerAdds) {
-  PhaseTimes pt;
-  {
-    ScopedPhaseTimer t(&pt, "scope");
-  }
-  EXPECT_EQ(1, pt.Count("scope"));
-  EXPECT_GE(pt.Total("scope"), 0.0);
 }
 
 }  // namespace

@@ -3,15 +3,15 @@
 
 Both files are JSON lines: a meta object ({"bench": "scenarios", ...})
 followed by one object per benchmark cell, keyed by
-(scenario, mode, units, threads, shards, sharing, compiled, storage,
-sessions) with an
-ns_per_tick measurement and a per-phase breakdown
+(scenario, mode, units, threads, sharing, compiled, storage, sessions)
+with an ns_per_tick measurement and a per-phase breakdown
 ({"phases": [{"name": ..., "ns_per_tick": ...}]}).
 Cells recorded before the aggregate-sharing or compiled-evaluation sweeps
 existed carry no "sharing" / "compiled" field and default to "on" (the
-engine's defaults for both); cells recorded before the shard sweep carry
-no "shards" field and default to 1 (the single-table engine); cells
-recorded before the multi-tenant serving sweep carry no "sessions" field
+engine's defaults for both); legacy cells from the retired in-process
+shard sweep carry a "shards" field: shards=1 rows are ordinary cells,
+rows with more shards measured a removed configuration and are skipped;
+cells recorded before the multi-tenant serving sweep carry no "sessions" field
 and default to 1 (a solo simulation, no SessionManager); cells recorded
 before the disk-backed storage sweep carry no "storage" field and
 default to "off" (the in-memory engine). Cells may
@@ -77,12 +77,13 @@ def load_cells(path):
             if obj.get("bench") == "scenarios":
                 meta = obj
                 continue
+            if obj.get("shards", 1) != 1:
+                continue
             key = (
                 obj.get("scenario"),
                 obj.get("mode"),
                 obj.get("units"),
                 obj.get("threads"),
-                obj.get("shards", 1),
                 obj.get("sharing", "on"),
                 obj.get("compiled", "on"),
                 obj.get("storage", "off"),
@@ -258,15 +259,15 @@ def main():
         return 1
 
     header = f"{'scenario':<14} {'mode':<8} {'units':>6} {'thr':>4} " \
-             f"{'shd':>3} {'shr':>3} {'vm':>3} {'dsk':>3} {'ses':>3} " \
+             f"{'shr':>3} {'vm':>3} {'dsk':>3} {'ses':>3} " \
              f"{'base ns/tick':>13} " \
              f"{'cur ns/tick':>13} {'norm ratio':>10}"
     print(header)
     failures = []
     for k in matched:
         norm = ratios[k] / drift
-        scenario, mode, units, threads, shards, sharing, compiled, \
-            storage, sessions = k
+        scenario, mode, units, threads, sharing, compiled, storage, \
+            sessions = k
         flag = ""
         if norm > 1.0 + args.threshold:
             failures.append((k, norm))
@@ -277,7 +278,7 @@ def main():
         info = f"  hits {hits}" if flag == "" and hits else ""
         print(
             f"{scenario:<14} {mode:<8} {units:>6} {threads:>4} "
-            f"{shards:>3} {sharing:>3} {compiled:>3} {storage:>3} "
+            f"{sharing:>3} {compiled:>3} {storage:>3} "
             f"{sessions:>3} "
             f"{baseline[k]['ns_per_tick']:>13} "
             f"{current[k]['ns_per_tick']:>13} {norm:>10.3f}{flag}{info}"

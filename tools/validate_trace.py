@@ -106,9 +106,8 @@ def validate_trace(path):
                      "without nesting")
             stack.append(ev)
 
-    # Worker tracks (tid >= 1) hold the per-chunk spans and — under
-    # sharded execution — the per-shard worker spans; both track ids are
-    # 1 + index, so the args must agree with the track.
+    # Worker tracks (tid >= 1) hold the per-chunk spans; the track id is
+    # 1 + chunk, so the args must agree with the track.
     for tid, spans in spans_by_tid.items():
         if tid == 0:
             continue
@@ -116,9 +115,6 @@ def validate_trace(path):
             chunk = ev.get("args", {}).get("chunk")
             if chunk is not None and chunk != tid - 1:
                 fail(f"{path}: chunk span on tid {tid} claims chunk {chunk}")
-            shard = ev.get("args", {}).get("shard")
-            if shard is not None and shard != tid - 1:
-                fail(f"{path}: shard span on tid {tid} claims shard {shard}")
 
     n_spans = sum(len(s) for s in spans_by_tid.values())
     print(f"{path}: {len(ticks)} ticks, {n_spans} spans, "
