@@ -378,13 +378,13 @@ Result<LogicalPlan> OptimizePlan(const LogicalPlan& plan) {
   }
 
   // Common-aggregate factoring: identical aggregate expressions share a
-  // signature id (the physical layer builds one index family per id).
+  // signature id (the physical layer's families are coarser still: one
+  // per distinct build, shared by every signature that needs it).
   // Identity is *structural*: the called declaration contributes its
   // canonical fingerprint (opt/signature.h), not its name, so calls to
   // two declarations that differ only in spelling — aggregate or tuple-
   // variable names — factor into one shared signature, mirroring the
-  // dedup rule of the physical families and the cross-script sharing
-  // layer.
+  // dedup rule of the cross-script sharing layer.
   std::map<std::string, int32_t> signature_of;
   std::set<const PlanNode*> visited;
   std::function<void(const PlanPtr&)> factor = [&](const PlanPtr& node) {

@@ -12,6 +12,8 @@ LayeredRangeTree2D::LayeredRangeTree2D(
   n_ = static_cast<int32_t>(points.size());
   m_ = static_cast<int32_t>(terms.size());
   stride_ = m_ + 1;
+  all_cols_.resize(m_);
+  std::iota(all_cols_.begin(), all_cols_.end(), 0);
   if (n_ == 0) return;
 
   // Terms are keyed by PointRef::id; flatten them for cache-friendly
@@ -122,6 +124,13 @@ int32_t LayeredRangeTree2D::Build(int32_t lo, int32_t hi) {
 
 AggResult LayeredRangeTree2D::Aggregate(const Rect& rect) const {
   AggResult acc(m_);
+  acc.count = Aggregate(rect, all_cols_.data(), m_, acc.sums.data());
+  return acc;
+}
+
+int64_t LayeredRangeTree2D::Aggregate(const Rect& rect, const int32_t* cols,
+                                      int32_t k, double* sums) const {
+  ProbeAcc acc{cols, k, sums, 0};
   if (n_ > 0) {
     const Node& root = nodes_[root_];
     // One binary search at the root; bridges do the rest (fractional
@@ -139,14 +148,14 @@ AggResult LayeredRangeTree2D::Aggregate(const Rect& rect) const {
   for (const DeltaPoint& p : inserted_) {
     if (!rect.Contains(p.x, p.y)) continue;
     acc.count += 1;
-    for (int32_t t = 0; t < m_; ++t) acc.sums[t] += p.terms[t];
+    for (int32_t i = 0; i < k; ++i) sums[i] += p.terms[cols[i]];
   }
   for (const DeltaPoint& p : removed_) {
     if (!rect.Contains(p.x, p.y)) continue;
     acc.count -= 1;
-    for (int32_t t = 0; t < m_; ++t) acc.sums[t] -= p.terms[t];
+    for (int32_t i = 0; i < k; ++i) sums[i] -= p.terms[cols[i]];
   }
-  return acc;
+  return acc.count;
 }
 
 void LayeredRangeTree2D::ApplyDelta(std::vector<DeltaPoint>* opposite,
@@ -185,7 +194,7 @@ void LayeredRangeTree2D::InsertPoint(double x, double y, const double* terms) {
 
 void LayeredRangeTree2D::AggregateRec(int32_t node_id, const Rect& rect,
                                       int32_t plo, int32_t phi,
-                                      AggResult* acc) const {
+                                      ProbeAcc* acc) const {
   if (plo >= phi) return;
   const Node& node = nodes_[node_id];
   const double node_xlo = xs_sorted_[node.lo];
@@ -198,7 +207,10 @@ void LayeredRangeTree2D::AggregateRec(int32_t node_id, const Rect& rect,
     const double* hi_p = &node.prefix[static_cast<size_t>(phi) * stride_];
     const double* lo_p = &node.prefix[static_cast<size_t>(plo) * stride_];
     acc->count += static_cast<int64_t>(hi_p[m_] - lo_p[m_]);
-    for (int32_t t = 0; t < m_; ++t) acc->sums[t] += hi_p[t] - lo_p[t];
+    for (int32_t i = 0; i < acc->k; ++i) {
+      const int32_t t = acc->cols[i];
+      acc->sums[i] += hi_p[t] - lo_p[t];
+    }
     return;
   }
   AggregateRec(node.left, rect, node.bridge_left[plo], node.bridge_left[phi],

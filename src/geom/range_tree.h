@@ -58,6 +58,15 @@ class LayeredRangeTree2D {
   /// for integer-valued terms, the repo's determinism contract.
   AggResult Aggregate(const Rect& rect) const;
 
+  /// The same probe restricted to the payload columns `cols[0..k)`: adds
+  /// column cols[i]'s sum over `rect` to `sums[i]` (caller-owned, zeroed
+  /// by the caller) and returns the point count. Columns not listed are
+  /// never read, so a count-only probe (k == 0) costs the same whatever
+  /// payload the tree carries. Each listed column accumulates exactly as
+  /// in Aggregate(rect).
+  int64_t Aggregate(const Rect& rect, const int32_t* cols, int32_t k,
+                    double* sums) const;
+
   /// Append the ids of all points inside `rect` to `out` (order follows
   /// the canonical decomposition, not input order). Not supported while a
   /// delta overlay is outstanding (removed points cannot be un-reported).
@@ -105,15 +114,24 @@ class LayeredRangeTree2D {
     std::vector<int32_t> bridge_right;
   };
 
+  /// The accumulator of one column-restricted probe.
+  struct ProbeAcc {
+    const int32_t* cols;
+    int32_t k;
+    double* sums;
+    int64_t count;
+  };
+
   int32_t Build(int32_t lo, int32_t hi);
   void AggregateRec(int32_t node_id, const Rect& rect, int32_t plo,
-                    int32_t phi, AggResult* acc) const;
+                    int32_t phi, ProbeAcc* acc) const;
   void EnumerateRec(int32_t node_id, const Rect& rect, int32_t plo,
                     int32_t phi, std::vector<int32_t>* out) const;
 
   int32_t n_ = 0;
   int32_t m_ = 0;       // payload terms
   int32_t stride_ = 1;  // m_ + 1 (terms + count)
+  std::vector<int32_t> all_cols_;       // 0..m_-1: Aggregate(rect)'s columns
   std::vector<double> xs_sorted_;
   std::vector<double> ys_of_;           // y keyed by x-sorted position
   std::vector<int32_t> ids_of_;         // id keyed by x-sorted position

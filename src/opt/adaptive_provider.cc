@@ -15,10 +15,15 @@ AdaptiveAggregateProvider::Create(const Script& script,
   provider->states_.resize(provider->families_.size());
   for (size_t f = 0; f < provider->families_.size(); ++f) {
     Family& family = provider->families_[f];
-    if (family.sig->kind == IndexKind::kNaive) continue;
-    provider->states_[f].dep_mask = BuildDependencyMask(*family.sig);
-    // Divisible families snapshot build inputs so a later tick can apply
-    // deltas; extremum and kD families cannot retract contributions.
+    // Members share the build inputs but not their terms: the family
+    // depends on the union.
+    for (int32_t a : family.member_aggs) {
+      provider->states_[f].dep_mask |=
+          BuildDependencyMask(provider->signatures_[a]);
+    }
+    // Range-tree families snapshot build inputs so a later tick can apply
+    // deltas. Extremum and kD families cannot retract contributions, and
+    // a partition-totals rebuild is already one linear pass.
     family.maintain_deltas =
         family.sig->kind == IndexKind::kDivisibleRangeTree;
   }
@@ -77,7 +82,6 @@ Status AdaptiveAggregateProvider::BuildIndexes(const EnvironmentTable& table,
   for (size_t f = 0; f < families_.size(); ++f) {
     Family& family = families_[f];
     const AggregateSignature& sig = *family.sig;
-    if (sig.kind == IndexKind::kNaive) continue;
     FamilyState& st = states_[f];
 
     const int64_t tally = family_probe_count(static_cast<int32_t>(f));
@@ -91,10 +95,10 @@ Status AdaptiveAggregateProvider::BuildIndexes(const EnvironmentTable& table,
     // common case, and the bias that keeps the first tick indexed.
     in.expected_probes = st.probes.Get(static_cast<double>(rows));
     in.build_passes = static_cast<int64_t>(sig.build_filters.size() +
-                                           sig.terms.size() + 1);
+                                           family.terms.size() + 1);
     in.partitions =
         std::max<int64_t>(1, static_cast<int64_t>(family.parts.size()));
-    in.divisible = sig.kind == IndexKind::kDivisibleRangeTree;
+    in.divisible = family.maintain_deltas;
     in.maintainable = in.divisible && family.tree_valid && !structural;
     std::vector<RowId> dirty;
     if (in.maintainable) {
@@ -159,11 +163,12 @@ Status AdaptiveAggregateProvider::ApplyFamilyDelta(
   const AggregateSignature& sig = *family->sig;
   const AggregateDecl& decl = script_->program.aggregates[sig.agg_index];
   const std::string* e_name = &decl.row_var;
-  const int32_t m = static_cast<int32_t>(sig.terms.size());
+  const int32_t m = static_cast<int32_t>(family->terms.size());
+  const int32_t cols = family->num_cols();
   const int32_t p_dims = static_cast<int32_t>(sig.partitions.size());
 
   LocalStack no_params;
-  std::vector<double> old_terms(2 * m), new_terms(2 * m);
+  std::vector<double> old_terms(cols), new_terms(cols);
   std::vector<double> old_comps(p_dims), new_comps(p_dims);
   for (RowId r : dirty) {
     // Re-evaluate the row's build inputs against the current table.
@@ -180,15 +185,16 @@ Status AdaptiveAggregateProvider::ApplyFamilyDelta(
     double nx = 0.0, ny = 0.0;
     if (new_pass) {
       for (int32_t t = 0; t < m; ++t) {
+        const FamilyTerm& term = family->terms[t];
         SGL_ASSIGN_OR_RETURN(
-            Value v, interp_->EvalExprIn(*sig.terms[t], table, nullptr, -1,
-                                         e_name, r, &no_params, rnd,
+            Value v, interp_->EvalExprIn(*term.expr, table, nullptr, -1,
+                                         term.e_name, r, &no_params, rnd,
                                          table.KeyAt(r)));
         if (!v.is_scalar()) {
           return Status::ExecutionError("aggregate term must be scalar");
         }
         new_terms[t] = v.scalar();
-        new_terms[m + t] = v.scalar() * v.scalar();
+        if (family->squares) new_terms[m + t] = v.scalar() * v.scalar();
       }
       for (int32_t i = 0; i < p_dims; ++i) {
         new_comps[i] = table.Get(r, sig.partitions[i].attr);
@@ -200,8 +206,8 @@ Status AdaptiveAggregateProvider::ApplyFamilyDelta(
     // Retract the contribution the trees hold for this row (snapshotted
     // by the last build or delta apply).
     if (family->row_passes[r]) {
-      for (int32_t t = 0; t < 2 * m; ++t) {
-        old_terms[t] = family->term_cols[t][r];
+      for (int32_t c = 0; c < cols; ++c) {
+        old_terms[c] = family->term_cols[c][r];
       }
       for (int32_t i = 0; i < p_dims; ++i) {
         old_comps[i] = family->comps[static_cast<size_t>(r) * p_dims + i];
@@ -226,7 +232,7 @@ Status AdaptiveAggregateProvider::ApplyFamilyDelta(
         family->parts.push_back(PartitionEntry{new_comps, it->second});
         family->div_trees.emplace(
             it->second,
-            LayeredRangeTree2D({}, std::vector<std::vector<double>>(2 * m)));
+            LayeredRangeTree2D({}, std::vector<std::vector<double>>(cols)));
       }
       family->div_trees.at(it->second)
           .InsertPoint(nx, ny, new_terms.data());
@@ -235,8 +241,8 @@ Status AdaptiveAggregateProvider::ApplyFamilyDelta(
     // Refresh the caches: probes' self-exclusion and the next delta both
     // read them as "what the trees currently hold".
     family->row_passes[r] = new_pass ? 1 : 0;
-    for (int32_t t = 0; t < 2 * m; ++t) {
-      family->term_cols[t][r] = new_pass ? new_terms[t] : 0.0;
+    for (int32_t c = 0; c < cols; ++c) {
+      family->term_cols[c][r] = new_pass ? new_terms[c] : 0.0;
     }
     if (new_pass) {
       for (int32_t i = 0; i < p_dims; ++i) {
@@ -257,10 +263,9 @@ Status AdaptiveAggregateProvider::ApplyFamilyDelta(
 
 std::string AdaptiveAggregateProvider::DescribeAggregatePhysical(
     int32_t agg_index) const {
-  const AggregateSignature& sig = signatures_[agg_index];
   std::string base = IndexedAggregateProvider::DescribeAggregatePhysical(
       agg_index);
-  if (sig.kind == IndexKind::kNaive) return base;
+  if (family_of_agg_[agg_index] < 0) return base;
   const FamilyState& st = states_[family_of_agg_[agg_index]];
   std::ostringstream os;
   os << base << " -> " << PhysicalChoiceName(st.last.choice) << " ["
@@ -276,7 +281,6 @@ std::string AdaptiveAggregateProvider::DescribePlan() const {
   os << "Adaptive decisions (cost units; per family, latest tick):\n";
   for (size_t f = 0; f < families_.size(); ++f) {
     const Family& family = families_[f];
-    if (family.sig->kind == IndexKind::kNaive) continue;
     const FamilyState& st = states_[f];
     os << "  family " << f << ": " << PhysicalChoiceName(st.last.choice)
        << "  est{" << DescribeEstimate(st.last.est) << "}"

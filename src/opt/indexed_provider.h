@@ -1,18 +1,25 @@
 // The indexed aggregate evaluator (Sections 5.3 and 6).
 //
 // At construction the provider extracts a signature for every aggregate
-// declaration the script uses and deduplicates structurally identical
-// signatures (the cross-script multi-query optimization: thousands of
-// units probing the same aggregate share one index family). Each tick,
-// BuildIndexes() rebuilds the per-partition index structures from scratch
-// — the paper's choice for volatile data — and Eval() answers each
-// aggregate call as an index probe:
+// declaration the script uses and groups the aggregates into index
+// families keyed by what they *build* (AggregateSignature::BuildKey: index
+// kind, range and partition attributes, build filters) — the multi-query
+// optimization of Section 3.1. A family is built once per tick however
+// many aggregates probe it; a divisible family's tree carries the union of
+// its members' term columns (plus their squares only when a member takes a
+// stddev), and each member keeps its own probe side: partition =/<>, range
+// bounds, probe filters, self-exclusion, and which family columns its
+// items read. Each tick, BuildIndexes() rebuilds the per-partition
+// structures from scratch — the paper's choice for volatile data — and
+// Eval() answers each aggregate call as an index probe:
 //
 //   divisible aggregates  -> layered range tree with prefix aggregates
 //                            (Figure 8), O(log n) per probe;
+//   divisible, no range   -> one running total per partition, built in a
+//                            single pass, O(1) per probe;
 //   min/max/argmin/argmax -> canonical range-extremum tree, O(log^2 n);
 //   nearest               -> kD-tree per partition;
-//   everything else       -> reference scan fallback (kNaive).
+//   everything else       -> reference scan fallback (kNaive, no family).
 //
 // Probes yield bit-identical results to the reference interpreter; the
 // engine test suite enforces this.
@@ -72,8 +79,11 @@ class IndexedAggregateProvider : public AggregateProvider {
   /// tick, while all counters are still zero; a standalone provider keeps
   /// the private registry Init() bound. `extra_flags` is OR-ed into every
   /// counter — kMetricExecDependent when a sharing decorator feeds this
-  /// provider only memo misses. The adaptive subclass extends the binding
-  /// with its decision counters.
+  /// provider only memo misses. Per family f it binds "family<f>.calls",
+  /// "family<f>.rows" (rows passing the build, summed over builds) and
+  /// "family<f>.build_ns" (wall time of those builds, always
+  /// kMetricExecDependent). The adaptive subclass extends the binding with
+  /// its decision counters.
   virtual void BindMetrics(obs::MetricsRegistry* registry,
                            const std::string& prefix, uint32_t extra_flags);
 
@@ -90,7 +100,8 @@ class IndexedAggregateProvider : public AggregateProvider {
   /// with the family's latest cost decision.
   virtual std::string DescribeAggregatePhysical(int32_t agg_index) const;
 
-  /// Number of distinct physical index families (after sharing).
+  /// Number of physical index families (distinct builds; naive-scan
+  /// aggregates have none).
   int32_t NumIndexFamilies() const {
     return static_cast<int32_t>(families_.size());
   }
@@ -107,19 +118,29 @@ class IndexedAggregateProvider : public AggregateProvider {
   /// (thread-count independent by construction: every call increments
   /// exactly one slot).
   int64_t family_probe_count(int32_t f) const {
-    return family_calls_[f]->value();
+    return families_[f].calls->value();
   }
 
   const AggregateSignature& signature(int32_t agg_index) const {
     return signatures_[agg_index];
   }
 
+  /// The aggregates family `f` serves, ascending.
+  const std::vector<int32_t>& family_members(int32_t f) const {
+    return families_[f].member_aggs;
+  }
+
+  /// Family `f`'s physical strategy for the current tick (always kRebuild
+  /// outside the adaptive subclass).
+  PhysicalChoice family_mode(int32_t f) const { return family_mode_[f]; }
+
  protected:
   IndexedAggregateProvider(const Script& script, const Interpreter& interp)
       : script_(&script), interp_(&interp) {}
 
-  /// Shared post-construction setup: signature extraction and family
-  /// deduplication (called by the factory of this class and subclasses).
+  /// Shared post-construction setup: signature extraction and grouping
+  /// into families by build key (called by the factory of this class and
+  /// subclasses).
   Status Init();
 
   /// One categorical partition (the hash layer of Section 5.3.1): the
@@ -129,22 +150,47 @@ class IndexedAggregateProvider : public AggregateProvider {
     int64_t id = 0;
   };
 
-  /// One physical index family: the per-partition structures built for a
-  /// group of structurally identical signatures.
+  /// One partition's running totals (kPartitionTotals families): the
+  /// passing-row count and one sum per family column, accumulated in
+  /// ascending row order.
+  struct PartitionTotals {
+    int64_t count = 0;
+    std::vector<double> sums;
+  };
+
+  /// One family term column: the expression and the row variable of the
+  /// declaration it came from (members may spell the variable apart).
+  struct FamilyTerm {
+    const Expr* expr = nullptr;
+    const std::string* e_name = nullptr;
+  };
+
+  /// One physical index family: the per-partition structures built once
+  /// for every aggregate with the same build key.
   struct Family {
-    const AggregateSignature* sig = nullptr;  // representative
+    const AggregateSignature* sig = nullptr;  // first member: build side
     std::vector<int32_t> member_aggs;         // aggregate indices served
+    std::vector<FamilyTerm> terms;  // union of the members' terms
+    bool squares = false;           // term squares follow the terms
+    int32_t num_cols() const {
+      return static_cast<int32_t>(terms.size()) * (squares ? 2 : 1);
+    }
+
+    obs::Counter* calls = nullptr;     // aggregate calls routed here
+    obs::Counter* rows = nullptr;      // rows passing the build
+    obs::Counter* build_ns = nullptr;  // build wall time
 
     // Build products (per tick — or maintained across ticks by the
     // adaptive evaluator's delta path).
     std::vector<char> row_passes;  // build-filter result per row
-    std::vector<std::vector<double>> term_cols;  // terms then squares, by row
+    std::vector<std::vector<double>> term_cols;  // num_cols() columns
     std::vector<PartitionEntry> parts;
     std::map<int64_t, LayeredRangeTree2D> div_trees;
+    std::vector<PartitionTotals> totals;  // by part id
     std::map<int64_t, MinMaxRangeTree2D> mm_trees;
     std::map<int64_t, KdTree2D> kd_trees;
 
-    // --- delta-maintenance state (adaptive divisible families only) ----
+    // --- delta-maintenance state (adaptive range-tree families only) ---
     // The build snapshots each row's point coordinates and partition
     // components so a later tick can retract exactly the contribution the
     // trees hold for a changed row.
@@ -182,7 +228,11 @@ class IndexedAggregateProvider : public AggregateProvider {
   const Script* script_;
   const Interpreter* interp_;
   std::vector<AggregateSignature> signatures_;   // one per aggregate decl
-  std::vector<int32_t> family_of_agg_;           // aggregate -> family
+  std::vector<int32_t> family_of_agg_;  // aggregate -> family (-1: naive)
+  /// Per divisible aggregate, the family columns its probe reads: its
+  /// terms' columns in term order, then — when it has a stddev item — the
+  /// matching square columns.
+  std::vector<std::vector<int32_t>> probe_cols_;
   std::vector<Family> families_;
   /// Probe bookkeeping lives in a metrics registry: Init() binds to a
   /// private one so standalone providers work unchanged, and the builder
@@ -191,7 +241,6 @@ class IndexedAggregateProvider : public AggregateProvider {
   std::unique_ptr<obs::MetricsRegistry> own_metrics_;
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::Counter* probes_ = nullptr;              // index-served probes
-  std::vector<obs::Counter*> family_calls_;     // calls routed per family
   int32_t num_shards_ = 1;
   obs::Tracer* tracer_ = nullptr;
   /// Physical strategy per family this tick. The base provider always

@@ -3,9 +3,9 @@
 //
 // The paper's central observation is that thousands of units issue the
 // same or near-identical environment aggregates each tick. The physical
-// layer already exploits half of that (structurally identical aggregates
-// share one index family); this module exploits the other half: most
-// probes against a shared family carry the same *probe values* too, so
+// layer already exploits half of that (aggregates that need the same
+// index share one family's build); this module exploits the other half:
+// most probes of an aggregate carry the same *probe values* too, so
 // their results can be memoized per tick instead of recomputed per unit.
 // Each aggregate declaration is classified once, at build time:
 //

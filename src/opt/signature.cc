@@ -20,6 +20,7 @@ void PrintCanonicalNumber(double v, std::ostream& os) {
 const char* IndexKindName(IndexKind kind) {
   switch (kind) {
     case IndexKind::kDivisibleRangeTree: return "divisible-range-tree";
+    case IndexKind::kPartitionTotals: return "partition-totals";
     case IndexKind::kMinMaxTree: return "minmax-range-tree";
     case IndexKind::kKdNearest: return "kd-nearest";
     case IndexKind::kNaive: return "naive-scan";
@@ -206,35 +207,30 @@ void PrintCond(const Cond& c, std::ostream& os, const NameCanon& canon) {
 
 }  // namespace
 
-std::string AggregateSignature::Fingerprint() const {
+std::string AggregateSignature::BuildKey() const {
   NameCanon canon{&u_name, &e_name, &param_names};
   std::ostringstream os;
   os << IndexKindName(kind) << "|";
-  for (const RangeDim& r : ranges) {
-    os << "R" << r.attr << ":";
-    if (r.lo) PrintExpr(*r.lo, os, canon);
-    os << (r.lo_strict ? "<" : "<=");
-    if (r.hi) PrintExpr(*r.hi, os, canon);
-    os << (r.hi_strict ? "<" : "<=") << ";";
+  // The kD-tree is built over (posx, posy) whatever the ranges; they only
+  // clip its probes.
+  if (kind != IndexKind::kKdNearest) {
+    for (const RangeDim& r : ranges) os << "R" << r.attr << ";";
   }
-  for (const PartitionDim& p : partitions) {
-    os << "P" << p.attr << (p.negated ? "!" : "=");
-    PrintExpr(*p.value, os, canon);
-    os << ";";
-  }
+  for (const PartitionDim& p : partitions) os << "P" << p.attr << ";";
   for (const Cond* f : build_filters) {
     os << "F";
     PrintCond(*f, os, canon);
   }
-  for (const Cond* f : probe_filters) {
-    os << "U";
-    PrintCond(*f, os, canon);
+  if (kind == IndexKind::kMinMaxTree) {
+    os << (extremum_max ? "|max:" : "|min:") << TermKey(0);
   }
-  os << (exclude_self ? "X" : "-") << "|";
-  for (const Expr* t : terms) {
-    os << "t";
-    PrintExpr(*t, os, canon);
-  }
+  return os.str();
+}
+
+std::string AggregateSignature::TermKey(size_t t) const {
+  NameCanon canon{&u_name, &e_name, &param_names};
+  std::ostringstream os;
+  PrintExpr(*terms[t], os, canon);
   return os.str();
 }
 
@@ -434,6 +430,7 @@ Result<AggregateSignature> ExtractSignature(const Script& script,
     sig.kind = IndexKind::kMinMaxTree;
     sig.terms.push_back(item.term.get());
     sig.term_of_item.push_back(0);
+    sig.extremum_max = item.func == AggFunc::kArgmax;
     return sig;
   }
 
@@ -460,16 +457,19 @@ Result<AggregateSignature> ExtractSignature(const Script& script,
     sig.kind = IndexKind::kMinMaxTree;
     sig.terms.push_back(item.term.get());
     sig.term_of_item.push_back(0);
+    sig.extremum_max = item.func == AggFunc::kMax;
     return sig;
   }
   if (!all_divisible) {
     return naive("non-divisible aggregate function");
   }
 
-  // Divisible: map items onto shared term columns. stddev needs the term
-  // and its square; the square is synthesized at build time (flagged by a
-  // negative encoding: term index i plus kSquareBit).
-  sig.kind = IndexKind::kDivisibleRangeTree;
+  // Divisible: map items onto term columns. stddev needs the term and its
+  // square; the square is synthesized at build time. Without a range
+  // dimension every probe covers whole partitions, so a running total per
+  // partition answers it.
+  sig.kind = sig.ranges.empty() ? IndexKind::kPartitionTotals
+                                : IndexKind::kDivisibleRangeTree;
   for (const AggItem& item : decl.items) {
     if (item.func == AggFunc::kCount) {
       sig.term_of_item.push_back(-1);

@@ -38,6 +38,8 @@ namespace sgl {
 /// Physical strategy chosen for one aggregate declaration.
 enum class IndexKind {
   kDivisibleRangeTree,  // Figure 8: prefix aggregates, O(log n)/probe
+  kPartitionTotals,     // divisible, no range: one running total per
+                        // partition, O(1)/probe
   kMinMaxTree,          // canonical range-extremum tree, O(log^2 n)/probe
   kKdNearest,           // kD-tree nearest neighbour (Section 5.3.2)
   kNaive,               // linear scan fallback
@@ -70,7 +72,7 @@ struct AggregateSignature {
   IndexKind kind = IndexKind::kNaive;
   std::string reason;  // why kNaive, for EXPLAIN
 
-  /// Declaration variable names, recorded so fingerprints can rename them
+  /// Declaration variable names, recorded so build keys can rename them
   /// to canonical placeholders (@u, @e, @p0...) — structural identity must
   /// not depend on what a script called its tuple variables.
   std::string u_name;
@@ -87,12 +89,24 @@ struct AggregateSignature {
   /// via term_of_item (kCount items use -1). Extremum: single term.
   std::vector<const Expr*> terms;
   std::vector<int32_t> term_of_item;
+  /// Extremum: the tree keeps maxima (max/argmax) rather than minima.
+  bool extremum_max = false;
 
-  /// Structural identity for multi-query sharing: two aggregates with the
-  /// same fingerprint can share one physical index family. Variable names
-  /// are canonicalized, so the identity holds across declarations — and
-  /// across scripts — that differ only in spelling.
-  std::string Fingerprint() const;
+  /// Build-side identity for multi-query sharing (Section 3.1): two
+  /// aggregates with the same build key are served by one physical index
+  /// family. It covers what the build consumes — index kind, range and
+  /// partition attributes, build filters, and an extremum's term and
+  /// direction — but not the probe side (partition =/<>, range bounds,
+  /// probe filters, self-exclusion), which each member keeps, nor a
+  /// divisible aggregate's terms: a family's tree carries the union of its
+  /// members' term columns. Variable names are canonicalized, so the
+  /// identity holds across declarations — and scripts — that differ only
+  /// in spelling. kNaive signatures build nothing and have no family.
+  std::string BuildKey() const;
+
+  /// Canonical form of terms[t], the key that deduplicates term columns
+  /// among a family's members.
+  std::string TermKey(size_t t) const;
 };
 
 /// Extract the signature of aggregate `agg_index` of `script`.
@@ -100,10 +114,11 @@ Result<AggregateSignature> ExtractSignature(const Script& script,
                                             int32_t agg_index);
 
 /// Round-trip rendering of a numeric literal for structural keys
-/// (%.17g): distinct constants must never print alike, or fingerprint /
+/// (%.17g): distinct constants must never print alike, or build-key /
 /// factoring dedup would merge declarations with different semantics.
-/// Shared by the signature fingerprints and plan.cc's canonical keys so
-/// the two layers cannot disagree about literal identity.
+/// Shared by the signature's keys, the canonical fingerprints, and
+/// plan.cc's canonical keys so the layers cannot disagree about literal
+/// identity.
 void PrintCanonicalNumber(double v, std::ostream& os);
 
 /// Canonical structural identity of the *whole* aggregate declaration:

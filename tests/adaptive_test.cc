@@ -285,13 +285,32 @@ TEST_P(AdaptiveContractTest, ForcedIncrementalMatchesNaive) {
   const PhysicalChoice incremental = PhysicalChoice::kIncremental;
   ForceChoice(forced.get(), &incremental);
 
+  // Whether a range-tree family serving several aggregates (one tree
+  // carrying the union of their term columns) exists, and whether one
+  // took the delta path on some tick.
+  bool has_fused = false;
+  bool fused_incremental = false;
   for (int64_t tick = 0; tick < kTicks; ++tick) {
     ASSERT_TRUE(naive->Tick().ok());
     ASSERT_TRUE(forced->Tick().ok()) << name << " forced tick " << tick;
     ASSERT_TRUE(naive->table().Equals(forced->table()))
         << name << " forced-incremental diverged at tick " << tick << ":\n"
         << naive->table().DiffString(forced->table());
+    for (const auto& session : forced->sessions()) {
+      const IndexedAggregateProvider& provider = *session->provider;
+      for (int32_t f = 0; f < provider.NumIndexFamilies(); ++f) {
+        const std::vector<int32_t>& members = provider.family_members(f);
+        if (members.size() < 2 || provider.signature(members[0]).kind !=
+                                      IndexKind::kDivisibleRangeTree) {
+          continue;
+        }
+        has_fused = true;
+        if (provider.family_mode(f) == incremental) fused_incremental = true;
+      }
+    }
   }
+  EXPECT_EQ(has_fused, fused_incremental)
+      << name << ": no fused family took the incremental path";
 }
 
 // Forced scan: the other extreme must also stay bit-exact (and is how a

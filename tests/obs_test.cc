@@ -226,6 +226,32 @@ TEST(Metrics, SnapshotsBitIdenticalAcrossThreadCounts) {
   }
 }
 
+// Per-family build counters: rows passing each build are a pure count
+// (kept in the deterministic snapshot when no sharing decorator sits
+// above the provider), build wall time is not.
+TEST(Metrics, FamilyBuildCountersFollowTheDeterminismRule) {
+  auto snapshot = [](int32_t threads, bool deterministic_only) {
+    ScenarioParams params;
+    params.units = 150;
+    params.seed = 11;
+    SimulationConfig config;
+    config.eval_mode = EvaluatorMode::kIndexed;
+    config.sharing = false;
+    config.threads = threads;
+    auto sim =
+        ScenarioRegistry::Global().BuildSimulation("battle", params, config);
+    EXPECT_TRUE(sim.ok()) << sim.status().ToString();
+    if (!sim.ok()) return std::string();
+    EXPECT_TRUE((*sim)->Run(5).ok());
+    return (*sim)->MetricsJson(deterministic_only);
+  };
+  const std::string det = snapshot(1, true);
+  EXPECT_NE(std::string::npos, det.find("agg.family0.rows\""));
+  EXPECT_EQ(std::string::npos, det.find("build_ns"));
+  EXPECT_EQ(det, snapshot(4, true));
+  EXPECT_NE(std::string::npos, snapshot(1, false).find("agg.family0.build_ns"));
+}
+
 TEST(Trace, SimulationEmitsTickPhaseChunkHierarchy) {
   const std::string trace_path = ::testing::TempDir() + "/obs_trace.json";
   std::remove(trace_path.c_str());

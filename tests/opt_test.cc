@@ -3,10 +3,13 @@
 // at the provider level.
 #include <gtest/gtest.h>
 
+#include "engine/simulation.h"
+#include "exec/thread_pool.h"
 #include "game/battle.h"
 #include "opt/action_sink.h"
 #include "opt/indexed_provider.h"
 #include "opt/signature.h"
+#include "scenario/scenario.h"
 
 namespace sgl {
 namespace {
@@ -54,7 +57,8 @@ TEST(Signature, DetectsSelfExclusion) {
   auto sig = ExtractSignature(script, 0);
   ASSERT_TRUE(sig.ok());
   EXPECT_TRUE(sig->exclude_self);
-  EXPECT_EQ(IndexKind::kDivisibleRangeTree, sig->kind);
+  // No range dimension: per-partition running totals answer every probe.
+  EXPECT_EQ(IndexKind::kPartitionTotals, sig->kind);
 }
 
 TEST(Signature, StrictBoundsAreRanges) {
@@ -130,31 +134,62 @@ TEST(Signature, FallbacksAreExplained) {
   }
 }
 
-TEST(Signature, FingerprintSharesIdenticalShapes) {
+TEST(Signature, BuildKeyIgnoresTheProbeSide) {
   Script script = Compile(R"(
     aggregate A(u) {
       select count(*) from E e
       where e.player <> u.player and e.posx >= u.posx - 32
         and e.posx <= u.posx + 32;
     }
-    aggregate B(u) {
-      select count(*) from E e
-      where e.player <> u.player and e.posx >= u.posx - 32
-        and e.posx <= u.posx + 32;
+    aggregate B(v, r) {
+      select sum(ee.health) as h, count(*) as n from E ee
+      where ee.player = v.player and ee.key <> v.key
+        and ee.posx > v.posx - r and ee.posx <= v.posx + r;
     }
     aggregate C(u) {
       select count(*) from E e
-      where e.player = u.player and e.posx >= u.posx - 32
-        and e.posx <= u.posx + 32;
+      where e.player <> u.player and e.unittype = 1
+        and e.posx >= u.posx - 32 and e.posx <= u.posx + 32;
     }
-    function main(u) { let a = A(u); let b = B(u); let c = C(u); }
+    aggregate D(u) {
+      select count(*) from E e
+      where e.player <> u.player and e.posy >= u.posy - 32
+        and e.posy <= u.posy + 32;
+    }
+    aggregate Lo(u) { select min(e.health) from E e where e.posx >= u.posx; }
+    aggregate ArgLo(u) {
+      select argmin(e.health) from E e where e.posx <= u.posx;
+    }
+    aggregate Hi(u) { select max(e.health) from E e where e.posx >= u.posx; }
+    function main(u) {
+      let a = A(u); let b = B(u, 4); let c = C(u); let d = D(u);
+      let lo = Lo(u); let al = ArgLo(u); let hi = Hi(u);
+    }
   )");
-  auto sa = ExtractSignature(script, 0);
-  auto sb = ExtractSignature(script, 1);
-  auto sc = ExtractSignature(script, 2);
-  ASSERT_TRUE(sa.ok() && sb.ok() && sc.ok());
-  EXPECT_EQ(sa->Fingerprint(), sb->Fingerprint());
-  EXPECT_NE(sa->Fingerprint(), sc->Fingerprint());  // =/<> differ
+  std::vector<AggregateSignature> sigs;
+  for (int32_t a = 0; a < 7; ++a) {
+    auto sig = ExtractSignature(script, a);
+    ASSERT_TRUE(sig.ok()) << sig.status().ToString();
+    sigs.push_back(*sig);
+  }
+  // Partition =/<>, bounds, strictness, self-exclusion, terms and variable
+  // spelling are all probe-side or per-member: A and B share a build.
+  EXPECT_EQ(sigs[0].BuildKey(), sigs[1].BuildKey());
+  EXPECT_NE(sigs[0].BuildKey(), sigs[2].BuildKey());  // build filter
+  EXPECT_NE(sigs[0].BuildKey(), sigs[3].BuildKey());  // range attribute
+  // min and argmin over one term build the same minimum tree; max does not.
+  EXPECT_EQ(sigs[4].BuildKey(), sigs[5].BuildKey());
+  EXPECT_NE(sigs[4].BuildKey(), sigs[6].BuildKey());
+}
+
+// The number of physical families of the registered scenario `name`'s
+// first script.
+int32_t ScenarioFamilies(const std::string& name) {
+  auto sim = ScenarioRegistry::Global().BuildSimulation(
+      name, ScenarioParams{}, SimulationConfig{});
+  EXPECT_TRUE(sim.ok()) << name << ": " << sim.status().ToString();
+  if (!sim.ok()) return -1;
+  return (*sim)->session(0).provider->NumIndexFamilies();
 }
 
 TEST(Provider, SharesFamiliesAcrossAggregates) {
@@ -162,39 +197,176 @@ TEST(Provider, SharesFamiliesAcrossAggregates) {
   Interpreter interp(script);
   auto provider = IndexedAggregateProvider::Create(script, interp);
   ASSERT_TRUE(provider.ok()) << provider.status().ToString();
-  // The battle script's enemy-strength and enemy-count aggregates share a
-  // box; there must be strictly fewer families than aggregates.
-  EXPECT_LT((*provider)->NumIndexFamilies(),
-            static_cast<int32_t>(script.program.aggregates.size()));
+  // 13 aggregates, 8 builds: the five player-partitioned boxes without a
+  // build filter fuse into one tree, and AllyCentroid/AllySpread share
+  // one set of partition totals.
+  EXPECT_EQ(13, static_cast<int32_t>(script.program.aggregates.size()));
+  ASSERT_EQ(8, (*provider)->NumIndexFamilies());
+  auto index_of = [&](const std::string& name) {
+    for (size_t a = 0; a < script.program.aggregates.size(); ++a) {
+      if (script.program.aggregates[a].name == name) {
+        return static_cast<int32_t>(a);
+      }
+    }
+    ADD_FAILURE() << "no aggregate " << name;
+    return -1;
+  };
+  const std::vector<int32_t> fused_box{
+      index_of("CountEnemiesInSight"), index_of("EnemyCentroidInSight"),
+      index_of("CountAlliesNear"), index_of("EnemyStrengthInSight"),
+      index_of("AllyStrengthInSight")};
+  EXPECT_EQ(fused_box, (*provider)->family_members(0));
+  EXPECT_EQ(IndexKind::kDivisibleRangeTree,
+            (*provider)->signature(fused_box[0]).kind);
+  const std::vector<int32_t> ally_totals{index_of("AllyCentroid"),
+                                         index_of("AllySpread")};
+  EXPECT_EQ(ally_totals, (*provider)->family_members(2));
+  EXPECT_EQ(IndexKind::kPartitionTotals,
+            (*provider)->signature(ally_totals[0]).kind);
+  // The fused tree carries posx, posy and health once, with no square
+  // columns (no member takes a stddev); the totals family carries squares.
+  const std::string plan = (*provider)->DescribePlan();
+  EXPECT_NE(std::string::npos,
+            plan.find("family 0: divisible-range-tree ranges(posx, posy) "
+                      "partitions(player) columns(3)"))
+      << plan;
+  EXPECT_NE(std::string::npos,
+            plan.find("family 2: partition-totals partitions(player) "
+                      "columns(4)"))
+      << plan;
+
+  // InfectedNear and OutbreakCentroid share one filtered box; CrowdCentroid
+  // is a partition-free total. Market's global sums are totals too.
+  EXPECT_EQ(2, ScenarioFamilies("epidemic"));
+  EXPECT_EQ(2, ScenarioFamilies("market"));
 }
 
-// Property test: for random worlds and every battle aggregate, the
-// indexed provider and the reference scan agree exactly.
-class ProviderAgreement : public ::testing::TestWithParam<uint64_t> {};
+// Fusion corner cases on the battle schema: members of one build that
+// differ in partition =/<>, self-exclusion, probe filters, stddev, and
+// variable spelling; a build filter shared by a count and a centroid; a
+// multi-partition <> probe; range-free totals with a partition, without
+// one, with a build filter, and probing a partition no row is in; and
+// min/argmin sharing one tree.
+constexpr const char* kFusionScript = R"(
+  aggregate CountFoes(u, r) {
+    select count(*) from E e
+    where e.player <> u.player
+      and e.posx >= u.posx - r and e.posx <= u.posx + r
+      and e.posy >= u.posy - r and e.posy <= u.posy + r;
+  }
+  aggregate FriendStats(v, r) {
+    select sum(f.health) as h, stddev(f.posx) as sx, count(*) as n from E f
+    where f.player = v.player and f.key <> v.key and v.health > 3
+      and f.posx >= v.posx - r and f.posx <= v.posx + r
+      and f.posy > v.posy - r and f.posy < v.posy + r;
+  }
+  aggregate FoeCentroid(u) {
+    select avg(e.posx) as x, avg(e.posy) as y from E e
+    where e.player <> u.player
+      and e.posx >= u.posx - 12 and e.posx <= u.posx + 12
+      and e.posy >= u.posy - 12 and e.posy <= u.posy + 12;
+  }
+  aggregate WoundedCount(u) {
+    select count(*) from E e
+    where e.health < e.maxhealth
+      and e.posx >= u.posx - 10 and e.posx <= u.posx + 10
+      and e.posy >= u.posy - 10 and e.posy <= u.posy + 10;
+  }
+  aggregate WoundedCentroid(u) {
+    select avg(w.posx) as x, avg(w.posy) as y, count(*) as n from E w
+    where w.health < w.maxhealth
+      and w.posx >= u.posx - 6 and w.posx <= u.posx + 6
+      and w.posy >= u.posy - 6 and w.posy <= u.posy + 6;
+  }
+  aggregate OtherTypes(u, r) {
+    select count(*) as n, avg(e.health) as h from E e
+    where e.unittype <> u.unittype
+      and e.posx >= u.posx - r and e.posx <= u.posx + r
+      and e.posy >= u.posy - r and e.posy <= u.posy + r;
+  }
+  aggregate SameTypeNear(u) {
+    select count(*) from E e
+    where e.unittype = u.unittype and e.key <> u.key
+      and e.posx >= u.posx - 5 and e.posx <= u.posx + 5
+      and e.posy >= u.posy - 5 and e.posy <= u.posy + 5;
+  }
+  aggregate TeamTotals(u) {
+    select sum(e.health) as h, stddev(e.posy) as sy, count(*) as n
+    from E e where e.player = u.player and e.key <> u.key;
+  }
+  aggregate TeamTally(u) {
+    select count(*) from E e where e.player = u.player;
+  }
+  aggregate FoeTypes(u) {
+    select sum(e.health) as h, count(*) as n from E e
+    where e.unittype <> u.unittype;
+  }
+  aggregate Everyone(u) {
+    select sum(e.health) as h, avg(e.posx) as x from E e;
+  }
+  aggregate Ghosts(u) {
+    select count(*) as n, avg(e.health) as h from E e
+    where e.player = u.player + 100;
+  }
+  aggregate FoeArchers(u) {
+    select count(*) as n, sum(e.health) as h from E e
+    where e.unittype = 1 and e.player <> u.player;
+  }
+  aggregate WeakestFoe(u, r) {
+    select argmin(e.health) from E e
+    where e.player <> u.player
+      and e.posx >= u.posx - r and e.posx <= u.posx + r
+      and e.posy >= u.posy - r and e.posy <= u.posy + r;
+  }
+  aggregate WeakestFoeHealth(u) {
+    select min(e.health) from E e
+    where e.player <> u.player
+      and e.posx >= u.posx - 9 and e.posx <= u.posx + 9
+      and e.posy >= u.posy - 9 and e.posy <= u.posy + 9;
+  }
+  function main(u) { let a = CountFoes(u, 8); }
+)";
 
-TEST_P(ProviderAgreement, AllBattleAggregatesMatchNaive) {
-  ScenarioConfig config;
-  config.num_units = 150;
-  config.density = 0.03;
-  config.seed = GetParam();
-  auto table = BuildScenario(config);
-  ASSERT_TRUE(table.ok());
-  Script script = Compile(BattleScriptSource());
+TEST(Provider, FusesMembersThatDifferOnlyInTheirProbe) {
+  Script script = Compile(kFusionScript);
   Interpreter interp(script);
   auto provider = IndexedAggregateProvider::Create(script, interp);
-  ASSERT_TRUE(provider.ok());
-  TickRandom rnd(GetParam(), 0);
-  ASSERT_TRUE((*provider)->BuildIndexes(*table, rnd).ok());
+  ASSERT_TRUE(provider.ok()) << provider.status().ToString();
+  // 15 aggregates, 8 builds: the player box {CountFoes, FriendStats,
+  // FoeCentroid}, the wounded box {WoundedCount, WoundedCentroid}, the
+  // unittype box {OtherTypes, SameTypeNear}, the player totals
+  // {TeamTotals, TeamTally, Ghosts}, the unittype totals {FoeTypes}, the
+  // global totals {Everyone}, the archer totals {FoeArchers}, and one
+  // minimum tree {WeakestFoe, WeakestFoeHealth}.
+  EXPECT_EQ((std::vector<int32_t>{0, 1, 2}), (*provider)->family_members(0));
+  EXPECT_EQ((std::vector<int32_t>{3, 4}), (*provider)->family_members(1));
+  EXPECT_EQ((std::vector<int32_t>{5, 6}), (*provider)->family_members(2));
+  EXPECT_EQ((std::vector<int32_t>{7, 8, 11}), (*provider)->family_members(3));
+  EXPECT_EQ((std::vector<int32_t>{13, 14}), (*provider)->family_members(7));
+  EXPECT_EQ(8, (*provider)->NumIndexFamilies());
+}
+
+// Every aggregate of `script`, probed from every 7th unit of `table`
+// with extra scalar parameters bound to a plausible radius: the indexed
+// provider (building on `pool` when one is given) must agree exactly with
+// the reference scan.
+void ExpectProviderMatchesNaive(const Script& script,
+                                const EnvironmentTable& table, uint64_t seed,
+                                exec::ThreadPool* pool) {
+  Interpreter interp(script);
+  auto provider = IndexedAggregateProvider::Create(script, interp);
+  ASSERT_TRUE(provider.ok()) << provider.status().ToString();
+  TickRandom rnd(seed, 0);
+  ASSERT_TRUE((*provider)->BuildIndexes(table, rnd, pool).ok());
 
   for (int32_t agg = 0;
        agg < static_cast<int32_t>(script.program.aggregates.size()); ++agg) {
     const AggregateDecl& decl = script.program.aggregates[agg];
-    // Bind any extra scalar parameter to a plausible radius.
     std::vector<Value> args;
     for (size_t p = 1; p < decl.params.size(); ++p) args.push_back(Value(8.0));
-    for (RowId u = 0; u < table->NumRows(); u += 7) {
-      auto want = interp.EvalAggregate(agg, args, u, *table, rnd);
-      auto got = (*provider)->Eval(agg, args, u, *table, rnd);
+    for (RowId u = 0; u < table.NumRows(); u += 7) {
+      auto want = interp.EvalAggregate(agg, args, u, table, rnd);
+      auto got = (*provider)->Eval(agg, args, u, table, rnd);
       ASSERT_TRUE(want.ok()) << want.status().ToString();
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       ASSERT_TRUE(*want == *got)
@@ -204,8 +376,54 @@ TEST_P(ProviderAgreement, AllBattleAggregatesMatchNaive) {
   }
 }
 
+// Property test: for random worlds and every battle aggregate, the
+// indexed provider and the reference scan agree exactly.
+class ProviderAgreement : public ::testing::TestWithParam<uint64_t> {};
+
+EnvironmentTable BattleWorld(uint64_t seed) {
+  ScenarioConfig config;
+  config.num_units = 150;
+  config.density = 0.03;
+  config.seed = seed;
+  auto table = BuildScenario(config);
+  EXPECT_TRUE(table.ok()) << table.status().ToString();
+  return table.MoveValue();
+}
+
+TEST_P(ProviderAgreement, AllBattleAggregatesMatchNaive) {
+  ExpectProviderMatchesNaive(Compile(BattleScriptSource()),
+                             BattleWorld(GetParam()), GetParam(), nullptr);
+}
+
+TEST_P(ProviderAgreement, FusionCornerCasesMatchNaive) {
+  ExpectProviderMatchesNaive(Compile(kFusionScript), BattleWorld(GetParam()),
+                             GetParam(), nullptr);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ProviderAgreement,
                          ::testing::Values(1, 2, 3, 4, 5));
+
+// The same agreement on the other scenarios' scripts, a few ticks into a
+// run (so epidemic has infected and recovered units), and with fused
+// families built concurrently on a pool.
+TEST(ProviderAgreementScenarios, ScenarioScriptsMatchNaive) {
+  exec::ThreadPool pool(4);
+  for (const std::string name : {"battle", "epidemic", "market"}) {
+    ScenarioParams params;
+    params.units = 300;
+    params.density = 0.03;
+    auto sim = ScenarioRegistry::Global().BuildSimulation(name, params,
+                                                          SimulationConfig{});
+    ASSERT_TRUE(sim.ok()) << name << ": " << sim.status().ToString();
+    ASSERT_TRUE((*sim)->Run(8).ok()) << name;
+    const Script& script = (*sim)->session(0).script;
+    SCOPED_TRACE(name);
+    ExpectProviderMatchesNaive(script, (*sim)->table(), 3, nullptr);
+    ExpectProviderMatchesNaive(script, (*sim)->table(), 3, &pool);
+  }
+  ExpectProviderMatchesNaive(Compile(kFusionScript), BattleWorld(9), 9,
+                             &pool);
+}
 
 TEST(ActionSink, ClassifiesBattleActions) {
   Script script = Compile(BattleScriptSource());
