@@ -1,8 +1,9 @@
 #include "engine/simulation.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <unordered_set>
@@ -392,191 +393,6 @@ std::string Simulation::DescribePlan() const {
   return os.str();
 }
 
-namespace {
-
-// Snapshot wire format, version 2. Everything is explicit little-endian
-// bytes (never memcpy of structs), so the encoding is identical on any
-// platform:
-//   "SGLSNP" u16:version u64:tick_count u64:next_key
-//   u32:num_attrs { u8:combine u32:name_len name }...   (attr 0 = key)
-//   u32:num_rows { u64:key u64:bits(col 1) ... u64:bits(col k) }...
-// Version 1 (no next_key field) is still read; it derives next_key as
-// max(key) + 1, which can re-issue keys removed at the end of the key
-// space — version 2 exists to close that hole.
-constexpr char kSnapshotMagic[6] = {'S', 'G', 'L', 'S', 'N', 'P'};
-constexpr uint16_t kSnapshotVersion = 2;
-
-void AppendLE(std::string* out, uint64_t v, int bytes) {
-  for (int i = 0; i < bytes; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-uint64_t DoubleBits(double d) {
-  uint64_t bits;
-  std::memcpy(&bits, &d, sizeof(bits));
-  return bits;
-}
-
-double BitsDouble(uint64_t bits) {
-  double d;
-  std::memcpy(&d, &bits, sizeof(d));
-  return d;
-}
-
-/// Bounds-checked little-endian cursor over the snapshot bytes.
-class SnapshotReader {
- public:
-  explicit SnapshotReader(const std::string& bytes) : bytes_(bytes) {}
-
-  Status Read(uint64_t* out, int bytes) {
-    if (pos_ + static_cast<size_t>(bytes) > bytes_.size()) {
-      return Status::Invalid("snapshot truncated at byte ", pos_);
-    }
-    uint64_t v = 0;
-    for (int i = 0; i < bytes; ++i) {
-      v |= static_cast<uint64_t>(
-               static_cast<uint8_t>(bytes_[pos_ + static_cast<size_t>(i)]))
-           << (8 * i);
-    }
-    pos_ += static_cast<size_t>(bytes);
-    *out = v;
-    return Status::OK();
-  }
-
-  Status ReadString(std::string* out, size_t len) {
-    if (pos_ + len > bytes_.size()) {
-      return Status::Invalid("snapshot truncated at byte ", pos_);
-    }
-    out->assign(bytes_, pos_, len);
-    pos_ += len;
-    return Status::OK();
-  }
-
-  size_t remaining() const { return bytes_.size() - pos_; }
-
- private:
-  const std::string& bytes_;
-  size_t pos_ = 0;
-};
-
-}  // namespace
-
-Status SimulationSnapshot::SerializeTo(std::string* out) const {
-  out->append(kSnapshotMagic, sizeof(kSnapshotMagic));
-  AppendLE(out, kSnapshotVersion, 2);
-  AppendLE(out, static_cast<uint64_t>(tick_count), 8);
-  AppendLE(out, static_cast<uint64_t>(table.next_key()), 8);
-  const Schema& schema = table.schema();
-  AppendLE(out, static_cast<uint64_t>(schema.NumAttrs()), 4);
-  for (AttrId a = 0; a < schema.NumAttrs(); ++a) {
-    const Attribute& attr = schema.attr(a);
-    AppendLE(out, static_cast<uint64_t>(attr.combine), 1);
-    AppendLE(out, static_cast<uint64_t>(attr.name.size()), 4);
-    out->append(attr.name);
-  }
-  const int32_t rows = table.NumRows();
-  AppendLE(out, static_cast<uint64_t>(rows), 4);
-  for (RowId row = 0; row < rows; ++row) {
-    AppendLE(out, static_cast<uint64_t>(table.KeyAt(row)), 8);
-    for (AttrId a = 1; a < schema.NumAttrs(); ++a) {
-      AppendLE(out, DoubleBits(table.Get(row, a)), 8);
-    }
-  }
-  return Status::OK();
-}
-
-Result<SimulationSnapshot> SimulationSnapshot::Parse(
-    const std::string& bytes) {
-  SnapshotReader reader(bytes);
-  std::string magic;
-  SGL_RETURN_NOT_OK(reader.ReadString(&magic, sizeof(kSnapshotMagic)));
-  if (std::memcmp(magic.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) != 0) {
-    return Status::Invalid("not a simulation snapshot (bad magic)");
-  }
-  uint64_t version = 0;
-  SGL_RETURN_NOT_OK(reader.Read(&version, 2));
-  if (version != 1 && version != kSnapshotVersion) {
-    return Status::Invalid("unsupported snapshot version ", version,
-                           " (this build reads versions 1..", kSnapshotVersion,
-                           ")");
-  }
-  SimulationSnapshot snapshot;
-  uint64_t tick = 0;
-  SGL_RETURN_NOT_OK(reader.Read(&tick, 8));
-  snapshot.tick_count = static_cast<int64_t>(tick);
-  uint64_t next_key = 0;
-  if (version >= 2) {
-    SGL_RETURN_NOT_OK(reader.Read(&next_key, 8));
-  }
-
-  uint64_t num_attrs = 0;
-  SGL_RETURN_NOT_OK(reader.Read(&num_attrs, 4));
-  if (num_attrs < 1) {
-    return Status::Invalid("snapshot schema has no key attribute");
-  }
-  Schema schema;  // attr 0 (the key) is implicit in a fresh schema
-  for (uint64_t a = 0; a < num_attrs; ++a) {
-    uint64_t combine = 0;
-    SGL_RETURN_NOT_OK(reader.Read(&combine, 1));
-    if (combine > static_cast<uint64_t>(CombineType::kSet)) {
-      return Status::Invalid("snapshot attribute ", a,
-                             " has unknown combine tag ", combine);
-    }
-    uint64_t name_len = 0;
-    SGL_RETURN_NOT_OK(reader.Read(&name_len, 4));
-    std::string name;
-    SGL_RETURN_NOT_OK(reader.ReadString(&name, name_len));
-    if (a == 0) {
-      if (name != schema.attr(kKeyAttrId).name ||
-          static_cast<CombineType>(combine) != CombineType::kConst) {
-        return Status::Invalid("snapshot attribute 0 is '", name,
-                               "', expected the const key attribute");
-      }
-      continue;
-    }
-    SGL_RETURN_NOT_OK(
-        schema.AddAttribute(name, static_cast<CombineType>(combine)).status());
-  }
-
-  uint64_t num_rows = 0;
-  SGL_RETURN_NOT_OK(reader.Read(&num_rows, 4));
-  EnvironmentTable table{schema};
-  std::vector<double> values(num_attrs - 1);
-  for (uint64_t row = 0; row < num_rows; ++row) {
-    uint64_t key = 0;
-    SGL_RETURN_NOT_OK(reader.Read(&key, 8));
-    for (uint64_t a = 0; a + 1 < num_attrs; ++a) {
-      uint64_t bits = 0;
-      SGL_RETURN_NOT_OK(reader.Read(&bits, 8));
-      values[a] = BitsDouble(bits);
-    }
-    SGL_RETURN_NOT_OK(
-        table.AddRowWithKey(static_cast<int64_t>(key), values));
-  }
-  if (reader.remaining() != 0) {
-    return Status::Invalid("snapshot has ", reader.remaining(),
-                           " trailing byte(s)");
-  }
-  if (version >= 2) {
-    table.SetNextKey(static_cast<int64_t>(next_key));
-  }
-  snapshot.table = std::move(table);
-  return snapshot;
-}
-
-SimulationSnapshot Simulation::SnapshotNow() const {
-  return SimulationSnapshot{table_.Clone(), tick_count_};
-}
-
-Status Simulation::RestoreSnapshot(const SimulationSnapshot& snapshot) {
-  if (!(snapshot.table.schema() == table_.schema())) {
-    return Status::Invalid(
-        "snapshot schema does not match the simulation's table schema");
-  }
-  return InstallWorld(snapshot.table.Clone(), snapshot.tick_count);
-}
-
 Status Simulation::InstallWorld(EnvironmentTable table, int64_t tick) {
   table_ = std::move(table);
   tick_count_ = tick;
@@ -600,28 +416,28 @@ Status Simulation::InstallWorld(EnvironmentTable table, int64_t tick) {
   return Status::OK();
 }
 
+namespace {
+
+/// The store behind a checkpoint directory that is not the configured
+/// storage path: default StorageConfig, no metrics, closed on return.
+Result<std::unique_ptr<storage::WorldStore>> OpenStoreAt(
+    const std::string& dir) {
+  StorageConfig config;
+  config.path = dir;
+  return storage::WorldStore::Open(config, /*metrics=*/nullptr);
+}
+
+}  // namespace
+
 Status Simulation::Checkpoint(const std::string& dir) {
   if (dir.empty()) {
     return Status::Invalid("Checkpoint: directory must not be empty");
   }
-  SGL_RETURN_NOT_OK(storage::MakeDirs(dir));
   if (store_ != nullptr && dir == config_.storage.path) {
     SGL_RETURN_NOT_OK(store_->Checkpoint(table_, tick_count_));
   } else {
-    // No store, or a foreign directory: write a self-contained snapshot
-    // file instead of pages + WAL.
-    std::string bytes;
-    SGL_RETURN_NOT_OK(SnapshotNow().SerializeTo(&bytes));
-    const std::string path = dir + "/snapshot.sgl";
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out.is_open()) {
-      return Status::Internal("cannot open ", path);
-    }
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.close();
-    if (!out.good()) {
-      return Status::Internal("failed writing ", path);
-    }
+    SGL_ASSIGN_OR_RETURN(auto store, OpenStoreAt(dir));
+    SGL_RETURN_NOT_OK(store->Checkpoint(table_, tick_count_));
   }
   return inlet_.SaveLog(dir + "/inlet.sgl");
 }
@@ -630,35 +446,33 @@ Status Simulation::RestoreFrom(const std::string& dir, int64_t tick) {
   if (dir.empty()) {
     return Status::Invalid("RestoreFrom: directory must not be empty");
   }
-  if (store_ != nullptr && dir == config_.storage.path) {
-    storage::RecoveredWorld world;
-    if (tick < 0) {
-      SGL_ASSIGN_OR_RETURN(world, store_->Recover());
-    } else {
-      SGL_ASSIGN_OR_RETURN(world, store_->Materialize(tick));
+  storage::WorldStore* store = store_.get();
+  std::unique_ptr<storage::WorldStore> foreign;
+  if (store == nullptr || dir != config_.storage.path) {
+    // Opening a store creates its files, so a directory without a world
+    // is refused first and left as it was.
+    if (!storage::WorldStore::HasWorld(dir)) {
+      if (::access((dir + "/snapshot.sgl").c_str(), F_OK) == 0) {
+        return Status::Invalid("RestoreFrom: ", dir,
+                               " holds only a snapshot.sgl, a retired "
+                               "checkpoint format this build cannot read");
+      }
+      return Status::NotFound("RestoreFrom: no checkpoint in ", dir);
     }
-    if (!(world.table.schema() == table_.schema())) {
-      return Status::Invalid(
-          "stored world schema does not match the simulation's table schema");
-    }
-    SGL_RETURN_NOT_OK(InstallWorld(std::move(world.table), world.tick));
-  } else {
-    const std::string path = dir + "/snapshot.sgl";
-    std::ifstream in(path, std::ios::binary);
-    if (!in.is_open()) {
-      return Status::NotFound("no snapshot at ", path);
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    SGL_ASSIGN_OR_RETURN(SimulationSnapshot snapshot,
-                         SimulationSnapshot::Parse(buf.str()));
-    if (tick >= 0 && snapshot.tick_count != tick) {
-      return Status::Invalid("snapshot at ", path, " is at tick ",
-                             snapshot.tick_count, ", not the requested tick ",
-                             tick);
-    }
-    SGL_RETURN_NOT_OK(RestoreSnapshot(snapshot));
+    SGL_ASSIGN_OR_RETURN(foreign, OpenStoreAt(dir));
+    store = foreign.get();
   }
+  storage::RecoveredWorld world;
+  if (tick < 0) {
+    SGL_ASSIGN_OR_RETURN(world, store->Recover());
+  } else {
+    SGL_ASSIGN_OR_RETURN(world, store->Materialize(tick));
+  }
+  if (!(world.table.schema() == table_.schema())) {
+    return Status::Invalid(
+        "stored world schema does not match the simulation's table schema");
+  }
+  SGL_RETURN_NOT_OK(InstallWorld(std::move(world.table), world.tick));
   return inlet_.RestoreLog(dir + "/inlet.sgl", tick_count_);
 }
 
@@ -839,28 +653,23 @@ Result<std::unique_ptr<Simulation>> SimulationBuilder::Build() {
 
     session.interp = std::make_unique<Interpreter>(session.script);
     if (config_.eval_mode != EvaluatorMode::kNaive) {
-      if (config_.index_aggregates) {
-        if (config_.eval_mode == EvaluatorMode::kAdaptive) {
-          SGL_ASSIGN_OR_RETURN(
-              auto adaptive,
-              AdaptiveAggregateProvider::Create(session.script,
-                                                *session.interp));
-          session.provider = std::move(adaptive);
-        } else {
-          SGL_ASSIGN_OR_RETURN(session.provider,
-                               IndexedAggregateProvider::Create(
-                                   session.script, *session.interp));
-        }
-        session.provider->set_num_shards(sim->threads_);
-        session.interp->set_aggregate_provider(session.provider.get());
-      }
-      if (config_.index_actions) {
+      if (config_.eval_mode == EvaluatorMode::kAdaptive) {
         SGL_ASSIGN_OR_RETURN(
-            session.sink,
-            IndexedActionSink::Create(session.script, *session.interp));
-        session.sink->set_num_shards(sim->threads_);
-        session.interp->set_action_sink(session.sink.get());
+            auto adaptive,
+            AdaptiveAggregateProvider::Create(session.script, *session.interp));
+        session.provider = std::move(adaptive);
+      } else {
+        SGL_ASSIGN_OR_RETURN(
+            session.provider,
+            IndexedAggregateProvider::Create(session.script, *session.interp));
       }
+      session.provider->set_num_shards(sim->threads_);
+      session.interp->set_aggregate_provider(session.provider.get());
+      SGL_ASSIGN_OR_RETURN(
+          session.sink,
+          IndexedActionSink::Create(session.script, *session.interp));
+      session.sink->set_num_shards(sim->threads_);
+      session.interp->set_action_sink(session.sink.get());
     }
     if (config_.sharing) {
       // The sharing decorator intercepts the interpreter's aggregate

@@ -25,10 +25,11 @@
 // simulations.
 //
 // Checkpoint(dir)/RestoreFrom(dir) are the one durability API: they
-// persist and rebuild the world (table + tick counter + inlet log), over
-// either the disk-backed storage engine (StorageConfig, src/storage/) or
-// a plain snapshot file. Because all per-tick randomness derives from
-// (seed, tick), a restored world re-runs deterministically.
+// persist and rebuild the world (table + tick counter + inlet log) in
+// the one on-disk format, the world store's (src/storage/). Mechanics-
+// internal state (e.g. a deaths counter) is not captured; because all
+// per-tick randomness derives from (seed, tick), a restored world
+// re-runs deterministically.
 #ifndef SGL_ENGINE_SIMULATION_H_
 #define SGL_ENGINE_SIMULATION_H_
 
@@ -141,12 +142,6 @@ struct SimulationConfig {
   /// determinism contract the parallel test suite enforces.
   int32_t threads = 1;
 
-  /// Ablation switches for kIndexed mode: disable the Section 5.3
-  /// aggregate indexes or the Section 5.4 action batching independently
-  /// (bench_optimizer measures each contribution).
-  bool index_aggregates = true;
-  bool index_actions = true;
-
   /// Cross-unit aggregate sharing (src/opt/sharing.h): memoize
   /// unit-invariant and partition-keyed aggregate results per tick and
   /// broadcast them across probing units and scripts. Works under every
@@ -218,28 +213,6 @@ struct ScriptSession {
   /// `compile_note` then carries the reason (surfaced by Explain()).
   std::unique_ptr<vm::CompiledProgram> compiled;
   std::string compile_note;
-};
-
-/// A checkpoint of the simulation state: the environment table plus the
-/// tick counter. Mechanics-internal state (e.g. a deaths counter) is not
-/// captured; the simulated world itself replays deterministically.
-///
-/// Snapshots have a stable byte encoding (SerializeTo / Parse) so a
-/// session can be checkpointed over a service boundary: the bytes are a
-/// pure function of (schema, rows, tick counter) — two equal snapshots
-/// serialize to identical bytes on any platform — and carry a version
-/// tag so future encodings can evolve without breaking stored
-/// checkpoints.
-struct SimulationSnapshot {
-  EnvironmentTable table{Schema()};
-  int64_t tick_count = 0;
-
-  /// Append the versioned byte encoding to `*out`.
-  Status SerializeTo(std::string* out) const;
-
-  /// Decode bytes produced by SerializeTo. Unknown magic, an unsupported
-  /// version, or truncated / trailing bytes are InvalidArgument errors.
-  static Result<SimulationSnapshot> Parse(const std::string& bytes);
 };
 
 class SimulationBuilder;
@@ -344,23 +317,28 @@ class Simulation {
 
   // --- durability (the one checkpoint/restore API) -----------------------
 
-  /// Persist the world into directory `dir` (created if needed). With
-  /// disk-backed storage on and `dir` == config().storage.path, this
-  /// publishes a storage checkpoint (O(pages touched since the last
-  /// one)) and truncates the WAL; otherwise it writes a portable
-  /// snapshot file (snapshot.sgl). Either way the applied inlet log is
-  /// saved alongside (inlet.sgl), so a restored world replays injected
-  /// actions too.
+  /// Persist the world into directory `dir` (created if needed) as a
+  /// world-store image: checksummed pages plus a manifest published by
+  /// atomic rename. With disk-backed storage on and `dir` ==
+  /// config().storage.path, this is the live store's checkpoint (O(pages
+  /// touched since the last one)) and truncates its WAL; any other
+  /// directory gets a full image from a short-lived store opened with
+  /// the default StorageConfig. Either way the applied inlet log is
+  /// saved alongside (inlet.sgl, also by atomic rename), so a restored
+  /// world replays injected actions too.
   Status Checkpoint(const std::string& dir);
 
   /// Rebuild the world from directory `dir` and continue from there.
   /// `tick` selects the state to materialize: -1 (default) the latest
-  /// durable state — for a storage directory, checkpoint + full WAL
-  /// replay (a torn trailing tick from a crash is dropped); a specific
-  /// tick re-materializes exactly that state (time travel; storage
-  /// directories cover [checkpoint_tick, latest], snapshot files only
-  /// their own tick). Restoring commits to the chosen timeline: with
-  /// storage on, a fresh checkpoint is published at the restored tick.
+  /// durable state, i.e. the checkpoint image plus a full WAL replay (a
+  /// torn trailing tick from a crash is dropped); a specific tick
+  /// re-materializes exactly that state (time travel over
+  /// [checkpoint_tick, latest]; an image written to a directory other
+  /// than the storage path covers only its own tick). A directory with
+  /// no world is NotFound and is left untouched; one holding only the
+  /// retired snapshot.sgl format is refused. Restoring commits to the
+  /// chosen timeline: with storage on, a fresh checkpoint is published
+  /// at the restored tick.
   Status RestoreFrom(const std::string& dir, int64_t tick = -1);
 
   /// Write every enabled observability artifact into `dir` (created if
@@ -390,11 +368,6 @@ class Simulation {
 
   /// Append one {"tick":N,"metrics":{...}} line to artifacts.metrics_path.
   Status AppendMetricsLine() const;
-
-  /// The in-memory snapshot path Checkpoint/RestoreFrom use for
-  /// portable snapshot files.
-  SimulationSnapshot SnapshotNow() const;
-  Status RestoreSnapshot(const SimulationSnapshot& snapshot);
 
   /// Install a rebuilt table + tick and re-sync every delta consumer
   /// (change tracking, the storage listener).

@@ -7,6 +7,8 @@
 #include <utility>
 
 #include "storage/page.h"  // Fnv1a + LE helpers (header-only)
+#include "storage/wal.h"
+#include "storage/world_store.h"
 
 namespace sgl {
 namespace serve {
@@ -20,11 +22,7 @@ namespace {
 constexpr char kInletMagic[6] = {'S', 'G', 'L', 'I', 'N', 'L'};
 constexpr uint16_t kInletVersion = 1;
 
-void AppendLE(std::string* out, uint64_t v, int bytes) {
-  for (int i = 0; i < bytes; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
+using storage::WalAppendLE;
 
 }  // namespace
 
@@ -75,32 +73,23 @@ Status ActionInlet::SaveLog(const std::string& path) const {
   {
     std::lock_guard<std::mutex> lock(mu_);
     bytes.append(kInletMagic, sizeof(kInletMagic));
-    AppendLE(&bytes, kInletVersion, 2);
-    AppendLE(&bytes, static_cast<uint64_t>(log_.size()), 4);
+    WalAppendLE(&bytes, kInletVersion, 2);
+    WalAppendLE(&bytes, static_cast<uint64_t>(log_.size()), 4);
     for (const InletRecord& record : log_) {
-      AppendLE(&bytes, static_cast<uint64_t>(record.seq), 8);
-      AppendLE(&bytes, static_cast<uint64_t>(record.tick), 8);
-      AppendLE(&bytes, static_cast<uint64_t>(record.action.unit_key), 8);
-      AppendLE(&bytes, static_cast<uint64_t>(record.action.op), 1);
-      AppendLE(&bytes, static_cast<uint64_t>(record.action.attr.size()), 4);
+      WalAppendLE(&bytes, static_cast<uint64_t>(record.seq), 8);
+      WalAppendLE(&bytes, static_cast<uint64_t>(record.tick), 8);
+      WalAppendLE(&bytes, static_cast<uint64_t>(record.action.unit_key), 8);
+      WalAppendLE(&bytes, static_cast<uint64_t>(record.action.op), 1);
+      WalAppendLE(&bytes, static_cast<uint64_t>(record.action.attr.size()), 4);
       bytes.append(record.action.attr);
-      AppendLE(&bytes, storage::PackDouble(record.action.value), 8);
+      WalAppendLE(&bytes, storage::PackDouble(record.action.value), 8);
     }
   }
-  AppendLE(&bytes,
-           storage::Fnv1a(reinterpret_cast<const uint8_t*>(bytes.data()),
-                          bytes.size()),
-           8);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out.is_open()) {
-    return Status::Internal("ActionInlet::SaveLog: cannot open ", path);
-  }
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.close();
-  if (!out.good()) {
-    return Status::Internal("ActionInlet::SaveLog: failed writing ", path);
-  }
-  return Status::OK();
+  WalAppendLE(&bytes,
+              storage::Fnv1a(reinterpret_cast<const uint8_t*>(bytes.data()),
+                             bytes.size()),
+              8);
+  return storage::WriteFileAtomically(path, bytes, /*fsyncs=*/nullptr);
 }
 
 Status ActionInlet::RestoreLog(const std::string& path, int64_t tick) {

@@ -98,7 +98,9 @@ class ActionInlet {
   Status Replay(std::vector<InletRecord> records);
 
   /// Persist the applied-action log to `path` (binary, little-endian,
-  /// checksummed). An empty log still writes a valid file.
+  /// checksummed), replacing any previous file by atomic rename so a
+  /// crash mid-write never leaves a torn log. An empty log still writes
+  /// a valid file.
   Status SaveLog(const std::string& path) const;
 
   /// Load a log written by SaveLog into a simulation restored to state

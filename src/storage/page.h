@@ -4,10 +4,9 @@
 // A page is a fixed-size block: a 24-byte little-endian header followed
 // by the payload. Every multi-byte field is written byte-by-byte in
 // little-endian order — never a struct memcpy — so page files are
-// identical across platforms, matching the SimulationSnapshot codec's
-// contract. The checksum (FNV-1a over the payload) makes torn or
-// bit-rotted pages detectable at read time; the page id in the header
-// catches misdirected writes.
+// identical across platforms. The checksum (FNV-1a over the payload)
+// makes torn or bit-rotted pages detectable at read time; the page id in
+// the header catches misdirected writes.
 #ifndef SGL_STORAGE_PAGE_H_
 #define SGL_STORAGE_PAGE_H_
 
@@ -50,8 +49,7 @@ inline uint64_t LoadLE(const uint8_t* src, int bytes) {
   return v;
 }
 
-/// Doubles travel as their raw IEEE-754 bit pattern (exact round-trip,
-/// same convention as the SimulationSnapshot codec).
+/// Doubles travel as their raw IEEE-754 bit pattern (exact round-trip).
 inline uint64_t PackDouble(double d) {
   uint64_t bits = 0;
   static_assert(sizeof(bits) == sizeof(d), "double must be 64-bit");

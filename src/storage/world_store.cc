@@ -57,10 +57,56 @@ Status MakeDirs(const std::string& path) {
   return Status::OK();
 }
 
+Status WriteFileAtomically(const std::string& path, const std::string& bytes,
+                           obs::Counter* fsyncs) {
+  const std::string tmp = path + ".tmp";
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) {
+    return Status::Internal("storage: cannot create ", tmp, ": ",
+                            std::strerror(errno));
+  }
+  const size_t n = bytes.size();
+  const bool wrote = ::write(fd, bytes.data(), n) == static_cast<ssize_t>(n);
+  const bool synced = wrote && ::fsync(fd) == 0;
+  ::close(fd);
+  if (!synced) {
+    return Status::Internal("storage: cannot write ", tmp, ": ",
+                            std::strerror(errno));
+  }
+  if (fsyncs != nullptr) fsyncs->Add(1);
+  if (::rename(tmp.c_str(), path.c_str()) != 0) {
+    return Status::Internal("storage: cannot publish ", path, ": ",
+                            std::strerror(errno));
+  }
+  // The rename is durable only once the directory entry is: without this
+  // fsync a published file can vanish on power loss.
+  const size_t slash = path.rfind('/');
+  std::string dir = ".";
+  if (slash != std::string::npos) {
+    dir = path.substr(0, std::max<size_t>(slash, 1));  // "/f" syncs "/"
+  }
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (dir_fd < 0) {
+    return Status::Internal("storage: cannot open directory ", dir, ": ",
+                            std::strerror(errno));
+  }
+  const int sync_errno = ::fsync(dir_fd) == 0 ? 0 : errno;
+  ::close(dir_fd);
+  if (sync_errno != 0) {
+    return Status::Internal("storage: cannot sync directory ", dir, ": ",
+                            std::strerror(sync_errno));
+  }
+  if (fsyncs != nullptr) fsyncs->Add(1);
+  return Status::OK();
+}
+
 namespace {
 
+constexpr char kManifestFile[] = "/MANIFEST.sgl";
 constexpr char kManifestMagic[6] = {'S', 'G', 'L', 'M', 'A', 'N'};
 constexpr uint16_t kManifestVersion = 1;
+// One CellDeltas entry: u64 key, u32 attr, u64 value bits.
+constexpr uint64_t kCellDeltaBytes = 20;
 
 /// Bounds-checked little-endian cursor over a record body or manifest.
 class ByteReader {
@@ -80,10 +126,18 @@ class ByteReader {
   }
 
   Status ReadString(std::string* out, size_t len) {
-    if (pos_ + len > size_) {
+    const uint8_t* bytes = nullptr;
+    SGL_RETURN_NOT_OK(Take(len, &bytes));
+    out->assign(reinterpret_cast<const char*>(bytes), len);
+    return Status::OK();
+  }
+
+  /// Point `*out` at the next `len` bytes and step past them.
+  Status Take(size_t len, const uint8_t** out) {
+    if (len > size_ - pos_) {
       return Status::Invalid("storage: record truncated at byte ", pos_);
     }
-    out->assign(reinterpret_cast<const char*>(data_ + pos_), len);
+    *out = data_ + pos_;
     pos_ += len;
     return Status::OK();
   }
@@ -99,6 +153,10 @@ class ByteReader {
 
 }  // namespace
 
+bool WorldStore::HasWorld(const std::string& dir) {
+  return ::access((dir + kManifestFile).c_str(), F_OK) == 0;
+}
+
 Result<std::unique_ptr<WorldStore>> WorldStore::Open(
     const StorageConfig& config, obs::MetricsRegistry* metrics) {
   SGL_RETURN_NOT_OK(config.Validate());
@@ -112,8 +170,8 @@ Result<std::unique_ptr<WorldStore>> WorldStore::Open(
   SGL_RETURN_NOT_OK(store->wal_.Open(config.path + "/wal.sgl"));
   store->pool_ = std::make_unique<BufferPool>(&store->file_, config.page_size,
                                               config.pool_pages);
-  store->manifest_path_ = config.path + "/MANIFEST.sgl";
-  store->has_world_ = ::access(store->manifest_path_.c_str(), F_OK) == 0;
+  store->manifest_path_ = config.path + kManifestFile;
+  store->has_world_ = HasWorld(config.path);
   if (metrics != nullptr) {
     // Exec-dependent: pool traffic depends on eviction order and whether
     // storage is even on, so the deterministic metric subset stays
@@ -232,18 +290,6 @@ Status WorldStore::FlushPoolDeltas(const EnvironmentTable& table) {
   return Status::OK();
 }
 
-Status WorldStore::ReadRow(RowId row, std::vector<double>* values) {
-  values->resize(static_cast<size_t>(num_slots_ - 1));
-  for (int32_t slot = 1; slot < num_slots_; ++slot) {
-    SGL_ASSIGN_OR_RETURN(auto pinned, pool_->Pin(PageOf(row, slot),
-                                                 /*create=*/false));
-    (*values)[slot - 1] =
-        UnpackDouble(LoadLE(pinned.payload + CellOffset(row), 8));
-    pool_->Unpin(pinned, /*dirty=*/false);
-  }
-  return Status::OK();
-}
-
 // --- the per-tick WAL append ----------------------------------------------
 
 Status WorldStore::CommitTick(const EnvironmentTable& table, int64_t tick) {
@@ -323,7 +369,14 @@ Status WorldStore::Checkpoint(const EnvironmentTable& table, int64_t tick) {
   if (num_slots_ == 0) SetLayout(table.schema());
   if (!synced_) {
     // First checkpoint into this directory (or an explicit overwrite of
-    // an unrestored world): drop stale deltas, write a full image.
+    // an unrestored world): drop stale deltas, write a full image. An
+    // image already published here must survive until the new manifest
+    // replaces it, so the writes go to the slots its manifest does not
+    // commit. A manifest that cannot be read protects nothing.
+    if (has_world_) {
+      Result<Manifest> old = ReadManifest();
+      if (old.ok()) pool_->LoadCommittedBits(std::move(old->committed));
+    }
     cells_.clear();
     struct_min_ = 0;
     synced_ = true;
@@ -368,42 +421,9 @@ Status WorldStore::WriteManifest(const EnvironmentTable& table, int64_t tick) {
               Fnv1a(reinterpret_cast<const uint8_t*>(out.data()), out.size()),
               8);
 
-  // Write-temp + fsync + rename: the manifest names either the previous
-  // checkpoint or this one, never a torn mixture.
-  const std::string tmp = manifest_path_ + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    return Status::Internal("storage: cannot create ", tmp, ": ",
-                            std::strerror(errno));
-  }
-  const bool wrote =
-      ::write(fd, out.data(), out.size()) == static_cast<ssize_t>(out.size());
-  const bool synced = wrote && ::fsync(fd) == 0;
-  ::close(fd);
-  if (!synced) {
-    return Status::Internal("storage: cannot write manifest ", tmp, ": ",
-                            std::strerror(errno));
-  }
-  if (fsyncs_ != nullptr) fsyncs_->Add(1);
-  if (::rename(tmp.c_str(), manifest_path_.c_str()) != 0) {
-    return Status::Internal("storage: cannot publish manifest ",
-                            manifest_path_, ": ", std::strerror(errno));
-  }
-  // The rename is durable only once the directory entry is: without this
-  // fsync a published checkpoint can vanish on power loss.
-  const int dir_fd = ::open(config_.path.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dir_fd < 0) {
-    return Status::Internal("storage: cannot open directory ", config_.path,
-                            ": ", std::strerror(errno));
-  }
-  const int sync_errno = ::fsync(dir_fd) == 0 ? 0 : errno;
-  ::close(dir_fd);
-  if (sync_errno != 0) {
-    return Status::Internal("storage: cannot sync directory ", config_.path,
-                            ": ", std::strerror(sync_errno));
-  }
-  if (fsyncs_ != nullptr) fsyncs_->Add(1);
-  return Status::OK();
+  // The manifest names either the previous checkpoint or this one, never
+  // a torn mixture.
+  return WriteFileAtomically(manifest_path_, out, fsyncs_);
 }
 
 Result<WorldStore::Manifest> WorldStore::ReadManifest() const {
@@ -516,18 +536,36 @@ Result<RecoveredWorld> WorldStore::Replay(int64_t target) {
                            " (earlier states were overwritten)");
   }
 
-  // Rebuild the checkpoint image by reading every column chunk through
-  // the pool (page checksums verify on fault).
+  // Rebuild the checkpoint image a page at a time: pin each column chunk
+  // once (its checksum verifies on fault), decode it whole, then add the
+  // chunk's rows in row order.
   EnvironmentTable table{m.schema};
-  std::vector<double> values(static_cast<size_t>(num_slots_ - 1));
-  for (RowId row = 0; row < m.num_rows; ++row) {
-    SGL_ASSIGN_OR_RETURN(auto key_page, pool_->Pin(PageOf(row, 0),
-                                                   /*create=*/false));
-    const int64_t key =
-        static_cast<int64_t>(LoadLE(key_page.payload + CellOffset(row), 8));
-    pool_->Unpin(key_page, /*dirty=*/false);
-    SGL_RETURN_NOT_OK(ReadRow(row, &values));
-    SGL_RETURN_NOT_OK(table.AddRowWithKey(key, values));
+  const size_t num_attrs = static_cast<size_t>(num_slots_ - 1);
+  std::vector<int64_t> keys(static_cast<size_t>(rows_per_page_));
+  std::vector<double> chunk(keys.size() * num_attrs);  // row-major
+  std::vector<double> values(num_attrs);
+  for (RowId begin = 0; begin < m.num_rows; begin += rows_per_page_) {
+    const size_t n =
+        static_cast<size_t>(std::min(rows_per_page_, m.num_rows - begin));
+    for (int32_t slot = 0; slot < num_slots_; ++slot) {
+      SGL_ASSIGN_OR_RETURN(auto page, pool_->Pin(PageOf(begin, slot),
+                                                 /*create=*/false));
+      for (size_t r = 0; r < n; ++r) {
+        const uint64_t bits = LoadLE(page.payload + r * 8, 8);
+        if (slot == 0) {
+          keys[r] = static_cast<int64_t>(bits);
+        } else {
+          chunk[r * num_attrs + static_cast<size_t>(slot - 1)] =
+              UnpackDouble(bits);
+        }
+      }
+      pool_->Unpin(page, /*dirty=*/false);
+    }
+    for (size_t r = 0; r < n; ++r) {
+      const double* row = chunk.data() + r * num_attrs;
+      values.assign(row, row + num_attrs);
+      SGL_RETURN_NOT_OK(table.AddRowWithKey(keys[r], values));
+    }
   }
   table.SetNextKey(m.next_key);
   int64_t state = m.tick;
@@ -602,15 +640,15 @@ Result<RecoveredWorld> WorldStore::Replay(int64_t target) {
             break;
           }
           case WalRecordType::kCellDeltas: {
+            // The replay's hot loop: bounds-check the fixed-size cells
+            // once per record, then decode them in place.
             uint64_t count = 0;
             SGL_RETURN_NOT_OK(body.Read(&count, 4));
-            for (uint64_t c = 0; c < count; ++c) {
-              uint64_t key = 0;
-              uint64_t attr = 0;
-              uint64_t bits = 0;
-              SGL_RETURN_NOT_OK(body.Read(&key, 8));
-              SGL_RETURN_NOT_OK(body.Read(&attr, 4));
-              SGL_RETURN_NOT_OK(body.Read(&bits, 8));
+            const uint8_t* cell = nullptr;
+            SGL_RETURN_NOT_OK(body.Take(count * kCellDeltaBytes, &cell));
+            for (uint64_t c = 0; c < count; ++c, cell += kCellDeltaBytes) {
+              const uint64_t key = LoadLE(cell, 8);
+              const uint64_t attr = LoadLE(cell + 8, 4);
               const RowId row = table.RowOf(static_cast<int64_t>(key));
               if (row < 0) {
                 return Status::Internal(
@@ -618,7 +656,13 @@ Result<RecoveredWorld> WorldStore::Replay(int64_t target) {
                     "key ",
                     key, " at tick ", t, ")");
               }
-              table.Set(row, static_cast<AttrId>(attr), UnpackDouble(bits));
+              if (attr == 0 || attr >= static_cast<uint64_t>(num_slots_)) {
+                return Status::Invalid("storage: WAL cell delta at tick ", t,
+                                       " names attribute ", attr,
+                                       " outside the schema");
+              }
+              table.Set(row, static_cast<AttrId>(attr),
+                        UnpackDouble(LoadLE(cell + 12, 8)));
             }
             break;
           }

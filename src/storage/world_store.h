@@ -26,11 +26,13 @@
 // the next tick's WAL record.
 //
 // Checkpoint = flush dirty frames to scratch slots, fsync, promote the
-// scratch slots, publish the manifest (write-temp + fsync + rename +
-// directory fsync), truncate the WAL. Cost is O(pages touched since the last checkpoint),
-// not O(table). Recover/Materialize = load the manifest's committed
-// image and replay committed WAL ticks; a torn trailing tick (crash
-// mid-append) is dropped, a checksum failure anywhere is corruption.
+// scratch slots, publish the manifest (WriteFileAtomically), truncate
+// the WAL. Cost is O(pages touched since the last checkpoint), not
+// O(table); the first checkpoint of a store writes the full image, into
+// the slots an existing manifest does not commit. Recover/Materialize =
+// load the manifest's committed image a page at a time and replay
+// committed WAL ticks; a torn trailing tick (crash mid-append) is
+// dropped, a checksum failure anywhere is corruption.
 #ifndef SGL_STORAGE_WORLD_STORE_H_
 #define SGL_STORAGE_WORLD_STORE_H_
 
@@ -54,6 +56,13 @@ namespace storage {
 /// mkdir -p: create every missing component of `path`.
 Status MakeDirs(const std::string& path);
 
+/// Replace the file at `path` with `bytes` so that a crash leaves either
+/// the old file or the new one, never a torn mix: write `path`.tmp,
+/// fsync it, rename it over `path`, fsync the directory. Each of the two
+/// fsyncs is added to `fsyncs` when it is not null.
+Status WriteFileAtomically(const std::string& path, const std::string& bytes,
+                           obs::Counter* fsyncs);
+
 /// A world state rebuilt from disk: the table plus the tick it is at.
 struct RecoveredWorld {
   EnvironmentTable table{Schema()};
@@ -68,6 +77,10 @@ class WorldStore : public TableDeltaListener {
       const StorageConfig& config, obs::MetricsRegistry* metrics);
 
   ~WorldStore() override = default;
+
+  /// True when `dir` holds a published world (its manifest). Unlike
+  /// Open, this creates nothing.
+  static bool HasWorld(const std::string& dir);
 
   const StorageConfig& config() const { return config_; }
 
@@ -137,10 +150,6 @@ class WorldStore : public TableDeltaListener {
   /// Bring cached pages up to date with `table` from the delta
   /// accumulator, then clear it.
   Status FlushPoolDeltas(const EnvironmentTable& table);
-
-  /// Read row `row`'s attribute values (attrs 1..k into values[0..k-1])
-  /// through the buffer pool.
-  Status ReadRow(RowId row, std::vector<double>* values);
 
   Status WriteManifest(const EnvironmentTable& table, int64_t tick);
   struct Manifest {

@@ -6,11 +6,9 @@
 
 #include <gtest/gtest.h>
 
-#include "geom/fenwick.h"
 #include "geom/geom.h"
 #include "geom/kd_tree.h"
 #include "geom/minmax_tree.h"
-#include "geom/partition.h"
 #include "geom/range_tree.h"
 #include "geom/spatial_hash.h"
 #include "geom/sweepline.h"
@@ -49,34 +47,6 @@ Rect RandomRect(Xoshiro256* rng, int64_t grid = 200) {
   double y2 = static_cast<double>(rng->NextBounded(grid));
   return Rect{std::min(x1, x2), std::max(x1, x2), std::min(y1, y2),
               std::max(y1, y2)};
-}
-
-// ---------------------------------------------------------------- Fenwick
-
-TEST(Fenwick, MatchesPrefixScan) {
-  Xoshiro256 rng(7);
-  const int32_t n = 257;
-  Fenwick fw(n);
-  std::vector<double> ref(n, 0.0);
-  for (int32_t step = 0; step < 2000; ++step) {
-    int32_t i = static_cast<int32_t>(rng.NextBounded(n));
-    double v = static_cast<double>(rng.NextBounded(100) - 50);
-    fw.Add(i, v);
-    ref[i] += v;
-    int32_t lo = static_cast<int32_t>(rng.NextBounded(n));
-    int32_t hi = lo + static_cast<int32_t>(rng.NextBounded(n - lo + 1));
-    double want = 0.0;
-    for (int32_t j = lo; j < hi; ++j) want += ref[j];
-    ASSERT_DOUBLE_EQ(want, fw.RangeSum(lo, hi));
-  }
-}
-
-TEST(Fenwick, EmptyRange) {
-  Fenwick fw(10);
-  fw.Add(3, 5.0);
-  EXPECT_EQ(0.0, fw.RangeSum(4, 4));
-  EXPECT_EQ(0.0, fw.RangeSum(0, 0));
-  EXPECT_EQ(5.0, fw.RangeSum(0, 10));
 }
 
 // ------------------------------------------------------- LayeredRangeTree
@@ -446,31 +416,6 @@ INSTANTIATE_TEST_SUITE_P(CellSizes, HashSizes,
 TEST(SpatialHash, Empty) {
   SpatialHashGrid grid({}, 8.0);
   EXPECT_EQ(0, grid.CountInRect(Rect{0, 100, 0, 100}));
-}
-
-// ------------------------------------------------------------- Partitioner
-
-TEST(Partitioner, GroupsAndExcludes) {
-  std::vector<int64_t> parts = {1, 2, 1, 3, 2, 1};
-  Partitioner pt(parts);
-  EXPECT_EQ(3u, pt.NumPartitions());
-  ASSERT_NE(nullptr, pt.PointsIn(1));
-  EXPECT_EQ((std::vector<int32_t>{0, 2, 5}), *pt.PointsIn(1));
-  EXPECT_EQ(nullptr, pt.PointsIn(9));
-
-  PartitionedIndex<int> idx;
-  idx.Add(1, 10);
-  idx.Add(2, 20);
-  idx.Add(3, 30);
-  int sum = 0;
-  idx.ForEachExcept(2, [&](int64_t, const int& v) { sum += v; });
-  EXPECT_EQ(40, sum);
-}
-
-TEST(Partitioner, EncodePartitionDistinct) {
-  EXPECT_NE(EncodePartition(1, 2), EncodePartition(2, 1));
-  EXPECT_NE(EncodePartition(0, 1), EncodePartition(1, 0));
-  EXPECT_EQ(EncodePartition(5, 6, 7), EncodePartition(5, 6, 7));
 }
 
 }  // namespace

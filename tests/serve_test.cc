@@ -10,8 +10,8 @@
 //    kResourceExhausted and count serve.rejected.
 //  * Scheduler fairness: round-robin with a tick budget never lets one
 //    session starve another over a 1k-tick run.
-//  * The consolidated SimulationConfig::Validate() vocabulary and the
-//    SimulationSnapshot byte codec ride along.
+//  * The consolidated SimulationConfig::Validate() vocabulary rides
+//    along.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -556,77 +556,6 @@ TEST(ExecutorSeamTest, SharedExecutorMatchesPrivatePool) {
   ASSERT_TRUE((*sim)->Run(6).ok());
   EXPECT_TRUE((*sim)->table().Equals((*own_pool)->table()))
       << (*sim)->table().DiffString((*own_pool)->table());
-}
-
-// ------------------------------------------------- snapshot byte codec
-
-TEST(SnapshotCodecTest, RoundTripsBitExactly) {
-  auto sim = ScenarioRegistry::Global().BuildSimulation(
-      "battle", SmallParams(), ServeConfig(EvaluatorMode::kIndexed, 1));
-  ASSERT_TRUE(sim.ok());
-  ASSERT_TRUE((*sim)->Run(5).ok());
-
-  const SimulationSnapshot snapshot{(*sim)->table().Clone(),
-                                    (*sim)->tick_count()};
-  std::string bytes;
-  ASSERT_TRUE(snapshot.SerializeTo(&bytes).ok());
-  ASSERT_FALSE(bytes.empty());
-
-  auto parsed = SimulationSnapshot::Parse(bytes);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(5, parsed->tick_count);
-  EXPECT_TRUE(parsed->table.Equals(snapshot.table))
-      << parsed->table.DiffString(snapshot.table);
-
-  // The encoding is canonical: re-serializing the parse is byte-identical.
-  std::string bytes2;
-  ASSERT_TRUE(parsed->SerializeTo(&bytes2).ok());
-  EXPECT_EQ(bytes, bytes2);
-
-  // And a restored simulation replays deterministically from the same
-  // checkpoint through the durability facade.
-  const std::string dir = ::testing::TempDir() + "/codec_ckpt";
-  ASSERT_TRUE((*sim)->Checkpoint(dir).ok());
-  auto twin = ScenarioRegistry::Global().BuildSimulation(
-      "battle", SmallParams(), ServeConfig(EvaluatorMode::kIndexed, 1));
-  ASSERT_TRUE(twin.ok());
-  ASSERT_TRUE((*twin)->RestoreFrom(dir).ok());
-  EXPECT_EQ(5, (*twin)->tick_count());
-  ASSERT_TRUE((*sim)->Run(5).ok());
-  ASSERT_TRUE((*twin)->Run(5).ok());
-  EXPECT_TRUE((*twin)->table().Equals((*sim)->table()))
-      << (*twin)->table().DiffString((*sim)->table());
-}
-
-TEST(SnapshotCodecTest, RejectsCorruptBytes) {
-  auto sim = ScenarioRegistry::Global().BuildSimulation(
-      "battle", SmallParams(), ServeConfig(EvaluatorMode::kIndexed, 1));
-  ASSERT_TRUE(sim.ok());
-  std::string bytes;
-  const SimulationSnapshot snapshot{(*sim)->table().Clone(),
-                                    (*sim)->tick_count()};
-  ASSERT_TRUE(snapshot.SerializeTo(&bytes).ok());
-
-  // Bad magic.
-  std::string bad_magic = bytes;
-  bad_magic[0] = 'X';
-  EXPECT_EQ(StatusCode::kInvalidArgument,
-            SimulationSnapshot::Parse(bad_magic).status().code());
-  // Unsupported version.
-  std::string bad_version = bytes;
-  bad_version[6] = 99;
-  EXPECT_EQ(StatusCode::kInvalidArgument,
-            SimulationSnapshot::Parse(bad_version).status().code());
-  // Truncation anywhere must error, never crash.
-  for (size_t cut : {size_t{3}, size_t{9}, bytes.size() / 2,
-                     bytes.size() - 1}) {
-    EXPECT_EQ(StatusCode::kInvalidArgument,
-              SimulationSnapshot::Parse(bytes.substr(0, cut)).status().code())
-        << "cut at " << cut;
-  }
-  // Trailing garbage.
-  EXPECT_EQ(StatusCode::kInvalidArgument,
-            SimulationSnapshot::Parse(bytes + "x").status().code());
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Simulation facade tests: the composable phase pipeline, multi-script
-// sessions, owned/function mechanics, stats, and Snapshot/Restore.
+// sessions, owned/function mechanics, stats, and Checkpoint/RestoreFrom.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <set>
@@ -12,6 +13,7 @@
 
 #include "engine/simulation.h"
 #include "sgl/analyzer.h"
+#include "storage/world_store.h"
 
 namespace sgl {
 namespace {
@@ -481,27 +483,73 @@ TEST(Simulation, CheckpointRestoreReplaysDeterministically) {
       << "replay diverged: " << (*sim)->table().DiffString(first_run);
 }
 
+/// A fresh, empty checkpoint directory under the test tmpdir.
+std::string FreshCheckpointDir(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + "/" + name;
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
 TEST(Simulation, RestoreRejectsForeignSchema) {
   auto sim = MakeFarm(EvaluatorMode::kIndexed, 23);
   ASSERT_TRUE(sim.ok());
-  // Plant a snapshot whose schema names a different world.
+  // Plant a world image whose schema names a different world.
   Schema other;
   ASSERT_TRUE(other.AddAttribute("something", CombineType::kConst).ok());
-  SimulationSnapshot bogus{EnvironmentTable(other), 0};
-  const std::string dir = ::testing::TempDir() + "/foreign_ckpt";
-  ASSERT_TRUE((*sim)->Checkpoint(dir).ok());
-  std::string bytes;
-  ASSERT_TRUE(bogus.SerializeTo(&bytes).ok());
-  std::ofstream out(dir + "/snapshot.sgl", std::ios::binary | std::ios::trunc);
-  out << bytes;
-  out.close();
+  const std::string dir = FreshCheckpointDir("foreign_ckpt");
+  {
+    StorageConfig config;
+    config.path = dir;
+    auto store = storage::WorldStore::Open(config, nullptr);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE((*store)->Checkpoint(EnvironmentTable(other), 0).ok());
+  }
   Status st = (*sim)->RestoreFrom(dir);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(StatusCode::kInvalidArgument, st.code());
+}
 
-  // And restoring a missing directory is NotFound, not a crash.
-  EXPECT_EQ(StatusCode::kNotFound,
-            (*sim)->RestoreFrom(::testing::TempDir() + "/no_such_ckpt").code());
+TEST(Simulation, RestoreFromMissingDirIsNotFoundAndCreatesNothing) {
+  auto sim = MakeFarm(EvaluatorMode::kIndexed, 23);
+  ASSERT_TRUE(sim.ok());
+  const std::string dir = FreshCheckpointDir("no_such_ckpt");
+  EXPECT_EQ(StatusCode::kNotFound, (*sim)->RestoreFrom(dir).code());
+  EXPECT_FALSE(std::filesystem::exists(dir));
+}
+
+TEST(Simulation, RestoreRefusesARetiredSnapshotFile) {
+  auto sim = MakeFarm(EvaluatorMode::kIndexed, 23);
+  ASSERT_TRUE(sim.ok());
+  const std::string dir = FreshCheckpointDir("legacy_ckpt");
+  std::filesystem::create_directories(dir);
+  {
+    std::ofstream out(dir + "/snapshot.sgl", std::ios::binary);
+    out << "SGLSNP";
+  }
+  Status st = (*sim)->RestoreFrom(dir);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(StatusCode::kInvalidArgument, st.code());
+  EXPECT_NE(std::string::npos, st.ToString().find("snapshot.sgl"))
+      << st.ToString();
+  // Refusing it opened no store: the directory holds only the old file.
+  EXPECT_FALSE(std::filesystem::exists(dir + "/MANIFEST.sgl"));
+  EXPECT_FALSE(std::filesystem::exists(dir + "/pages.sgl"));
+}
+
+TEST(Simulation, RestoreRejectsATickTheImageDoesNotHold) {
+  auto sim = MakeFarm(EvaluatorMode::kIndexed, 31);
+  ASSERT_TRUE(sim.ok());
+  ASSERT_TRUE((*sim)->Run(6).ok());
+  const std::string dir = FreshCheckpointDir("tick_ckpt");
+  ASSERT_TRUE((*sim)->Checkpoint(dir).ok());
+  ASSERT_TRUE((*sim)->Run(2).ok());
+  for (int64_t tick : {0, 5, 7}) {
+    EXPECT_EQ(StatusCode::kInvalidArgument,
+              (*sim)->RestoreFrom(dir, tick).code())
+        << "tick " << tick;
+  }
+  ASSERT_TRUE((*sim)->RestoreFrom(dir, 6).ok());
+  EXPECT_EQ(6, (*sim)->tick_count());
 }
 
 TEST(Simulation, ExplainCoversAllScripts) {

@@ -8,13 +8,18 @@
 //    continues bit-identically to a run that was never interrupted.
 //    Table edits made between ticks (AddRow, Set) survive a checkpoint
 //    and the WAL ticks after it.
-//  * Corruption: a flipped page byte or a flipped WAL byte is refused
-//    with kInvalidArgument; a torn WAL tail (truncation) silently drops
-//    the partial tick and recovers to the last committed one.
+//  * Corruption: a flipped page byte, a flipped WAL byte or a WAL cell
+//    naming an attribute outside the schema is refused with
+//    kInvalidArgument; a torn WAL tail (truncation) silently drops the
+//    partial tick and recovers to the last committed one.
 //  * Out-of-core: a pool capped far below the table size completes a
 //    100-tick scenario through eviction, still bit-exact.
 //  * Time travel: Materialize/RestoreFrom(dir, tick) rebuilds any
 //    logged tick; re-running from it reproduces the original future.
+//  * Checkpoints outside the storage path: the same store format, a
+//    bit-exact round trip, a corrupt manifest refused, an overwrite that
+//    leaves the published image intact until its manifest lands, and a
+//    stale inlet temp file ignored.
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
@@ -26,7 +31,9 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/simulation.h"
@@ -68,7 +75,7 @@ std::string FreshDir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "/" + name;
   for (const char* f :
        {"pages.sgl", "wal.sgl", "MANIFEST.sgl", "MANIFEST.sgl.tmp",
-        "inlet.sgl", "snapshot.sgl", "trace.json", "metrics.json",
+        "inlet.sgl", "inlet.sgl.tmp", "trace.json", "metrics.json",
         "flight_record.json"}) {
     std::remove((dir + "/" + f).c_str());
   }
@@ -426,6 +433,48 @@ TEST(StorageRecoveryTest, TornWalTailRecoversToLastCommittedTick) {
   EXPECT_EQ(StatusCode::kInvalidArgument, st.code());
 }
 
+TEST(StorageRecoveryTest, WalCellOutsideTheSchemaIsRefused) {
+  const std::string dir = FreshDir("bad_attr_world");
+  int64_t key = 0;
+  int64_t next_key = 0;
+  int32_t rows = 0;
+  {
+    auto sim = BuildScenario(
+        "battle", StorageConfigFor(dir, EvaluatorMode::kIndexed, 1));
+    ASSERT_NE(nullptr, sim);
+    ASSERT_TRUE(sim->Run(3).ok());
+    ASSERT_TRUE(sim->Checkpoint(dir).ok());
+    key = sim->table().KeyAt(0);
+    next_key = sim->table().next_key();
+    rows = sim->table().NumRows();
+  }
+  // A well-framed tick whose one cell delta names attribute 999.
+  {
+    WalFile wal;
+    ASSERT_TRUE(wal.Open(dir + "/wal.sgl").ok());
+    ASSERT_EQ(3, wal.checkpoint_tick());
+    std::string body;
+    storage::WalAppendLE(&body, 3, 8);
+    ASSERT_TRUE(wal.Append(WalRecordType::kTickBegin, body, nullptr).ok());
+    body.clear();
+    storage::WalAppendLE(&body, 1, 4);
+    storage::WalAppendLE(&body, static_cast<uint64_t>(key), 8);
+    storage::WalAppendLE(&body, 999, 4);
+    storage::WalAppendLE(&body, storage::PackDouble(1.0), 8);
+    ASSERT_TRUE(wal.Append(WalRecordType::kCellDeltas, body, nullptr).ok());
+    body.clear();
+    storage::WalAppendLE(&body, 3, 8);
+    storage::WalAppendLE(&body, static_cast<uint64_t>(next_key), 8);
+    storage::WalAppendLE(&body, static_cast<uint64_t>(rows), 4);
+    ASSERT_TRUE(wal.Append(WalRecordType::kTickCommit, body, nullptr).ok());
+  }
+  auto store = WorldStore::Open(
+      StorageConfigFor(dir, EvaluatorMode::kIndexed, 1).storage, nullptr);
+  ASSERT_TRUE(store.ok());
+  Status st = (*store)->Recover().status();
+  EXPECT_EQ(StatusCode::kInvalidArgument, st.code()) << st.ToString();
+}
+
 TEST(StorageRecoveryTest, CorruptPageIsRefused) {
   const std::string dir = FreshDir("corrupt_world");
   {
@@ -534,6 +583,137 @@ TEST(StorageTimeTravelTest, MaterializeRebuildsAnyLoggedTick) {
   ASSERT_TRUE(sim->Run(4).ok());
   EXPECT_TRUE(sim->table().Equals(states[27]))
       << sim->table().DiffString(states[27]);
+}
+
+// ------------------------------------ checkpoints outside the storage path
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+/// An in-memory battle (no storage path) with one injected nudge per tick.
+std::unique_ptr<Simulation> RunPlainBattle(int64_t ticks) {
+  SimulationConfig config;
+  config.eval_mode = EvaluatorMode::kIndexed;
+  auto sim = BuildScenario("battle", config);
+  if (sim == nullptr) return nullptr;
+  for (int64_t t = 0; t < ticks; ++t) {
+    serve::InjectedAction nudge;
+    nudge.unit_key = t % 5;
+    nudge.attr = "posx";
+    nudge.op = serve::InjectedAction::Op::kAdd;
+    nudge.value = 0.5;
+    sim->inlet()->Push(nudge);
+    EXPECT_TRUE(sim->Tick().ok());
+  }
+  return sim;
+}
+
+TEST(StorageCheckpointTest, PlainDirRoundTripsAndReplaysBitExactly) {
+  auto sim = RunPlainBattle(5);
+  ASSERT_NE(nullptr, sim);
+  const std::string dir = FreshDir("plain_ckpt");
+  ASSERT_FALSE(sim->inlet()->Log().empty());
+  ASSERT_TRUE(sim->Checkpoint(dir).ok());
+  EXPECT_TRUE(WorldStore::HasWorld(dir));
+
+  SimulationConfig config;
+  config.eval_mode = EvaluatorMode::kIndexed;
+  auto twin = BuildScenario("battle", config);
+  ASSERT_NE(nullptr, twin);
+  Status st = twin->RestoreFrom(dir);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(5, twin->tick_count());
+  EXPECT_TRUE(twin->table().Equals(sim->table()))
+      << twin->table().DiffString(sim->table());
+  EXPECT_EQ(sim->inlet()->Log().size(), twin->inlet()->Log().size());
+
+  // A restored simulation replays deterministically from the checkpoint.
+  ASSERT_TRUE(sim->Run(5).ok());
+  ASSERT_TRUE(twin->Run(5).ok());
+  EXPECT_TRUE(twin->table().Equals(sim->table()))
+      << twin->table().DiffString(sim->table());
+}
+
+TEST(StorageCheckpointTest, CorruptManifestIsRefused) {
+  auto sim = RunPlainBattle(3);
+  ASSERT_NE(nullptr, sim);
+  const std::string dir = FreshDir("corrupt_manifest");
+  ASSERT_TRUE(sim->Checkpoint(dir).ok());
+  const std::string path = dir + "/MANIFEST.sgl";
+  const std::string bytes = ReadFile(path);
+  ASSERT_GT(bytes.size(), 20u);
+
+  std::vector<std::pair<std::string, std::string>> cases;
+  std::string bad_magic = bytes;
+  bad_magic[0] = 'X';
+  cases.emplace_back("bad magic", bad_magic);
+  std::string flipped = bytes;
+  flipped[bytes.size() / 2] ^= 0x10;  // only the checksum can catch this
+  cases.emplace_back("flipped byte", flipped);
+  for (size_t cut : {size_t{3}, size_t{9}, bytes.size() / 2,
+                     bytes.size() - 1}) {
+    cases.emplace_back("cut at " + std::to_string(cut), bytes.substr(0, cut));
+  }
+  cases.emplace_back("trailing byte", bytes + "x");
+
+  for (const auto& c : cases) {
+    WriteFile(path, c.second);
+    Status st = sim->RestoreFrom(dir);
+    EXPECT_EQ(StatusCode::kInvalidArgument, st.code())
+        << c.first << ": " << st.ToString();
+  }
+  WriteFile(path, bytes);
+  EXPECT_TRUE(sim->RestoreFrom(dir).ok());
+}
+
+TEST(StorageCheckpointTest, OverwriteKeepsThePublishedImageUntilItsManifest) {
+  auto sim = RunPlainBattle(4);
+  ASSERT_NE(nullptr, sim);
+  const std::string dir = FreshDir("overwrite_ckpt");
+  ASSERT_TRUE(sim->Checkpoint(dir).ok());
+  const EnvironmentTable first = sim->table().Clone();
+  const std::string manifest = ReadFile(dir + "/MANIFEST.sgl");
+  const std::string wal = ReadFile(dir + "/wal.sgl");
+
+  // Overwrite it with a later state, then roll the manifest and the log
+  // back: what a crash just before the new manifest's rename leaves.
+  ASSERT_TRUE(sim->Run(6).ok());
+  ASSERT_TRUE(sim->Checkpoint(dir).ok());
+  WriteFile(dir + "/MANIFEST.sgl", manifest);
+  WriteFile(dir + "/wal.sgl", wal);
+
+  Status st = sim->RestoreFrom(dir);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(4, sim->tick_count());
+  EXPECT_TRUE(sim->table().Equals(first)) << sim->table().DiffString(first);
+}
+
+TEST(StorageCheckpointTest, StaleTornInletTempIsIgnored) {
+  auto sim = RunPlainBattle(4);
+  ASSERT_NE(nullptr, sim);
+  const std::string dir = FreshDir("inlet_tmp_ckpt");
+  ASSERT_TRUE(sim->Checkpoint(dir).ok());
+  // A crash mid-SaveLog leaves a torn temp file; the published log stays.
+  WriteFile(dir + "/inlet.sgl.tmp", "SGLINL\x01");
+
+  SimulationConfig config;
+  config.eval_mode = EvaluatorMode::kIndexed;
+  auto twin = BuildScenario("battle", config);
+  ASSERT_NE(nullptr, twin);
+  Status st = twin->RestoreFrom(dir);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(sim->inlet()->Log().size(), twin->inlet()->Log().size());
+  EXPECT_TRUE(twin->table().Equals(sim->table()))
+      << twin->table().DiffString(sim->table());
 }
 
 // -------------------------------------------------------- artifact dumps
