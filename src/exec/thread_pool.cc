@@ -105,18 +105,20 @@ Status ThreadPool::ParallelFor(int64_t n, int64_t grain, const RangeFn& fn,
 
   // Sequential path: one chunk, a single-thread pool, or a nested call
   // from inside a chunk body. Chunk indexing and bounds are identical to
-  // the parallel path, so per-chunk outputs merge the same way.
+  // the parallel path, so per-chunk outputs merge the same way. Every
+  // chunk runs on this one thread, so the stats say so: one worker, busy
+  // for the sum of the chunk times.
   if (chunks <= 1 || workers_.empty() || tl_in_chunk) {
-    int64_t max_ns = 0;
+    int64_t total_ns = 0;
     for (int32_t c = 0; c < chunks; ++c) {
       auto [lo, hi] = ChunkBounds(n, chunks, c);
       Timer timer;
       SGL_RETURN_NOT_OK(fn(c, lo, hi));
-      max_ns = std::max(max_ns, timer.Nanos());
+      total_ns += timer.Nanos();
     }
     if (stats != nullptr) {
-      stats->workers = std::max<int64_t>(stats->workers, chunks);
-      stats->max_worker_ns += max_ns;
+      stats->workers = std::max<int64_t>(stats->workers, 1);
+      stats->max_worker_ns += total_ns;
     }
     return Status::OK();
   }

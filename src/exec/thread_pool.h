@@ -35,8 +35,8 @@ namespace exec {
 /// Aggregated per-ParallelFor timing, rolled up into PhaseStats
 /// (`workers` / `max_worker_ns`) by the phases that opt in.
 struct ParallelStats {
-  int64_t workers = 0;        ///< max chunks executed by one ParallelFor
-  int64_t max_worker_ns = 0;  ///< accumulated slowest-chunk wall time
+  int64_t workers = 0;        ///< max threads one ParallelFor ran on
+  int64_t max_worker_ns = 0;  ///< accumulated slowest-worker wall time
 };
 
 /// A fixed-size pool of worker threads with a chunked ParallelFor.
@@ -76,7 +76,10 @@ class ThreadPool {
   /// Blocks until every chunk finished; all chunks run even if one fails,
   /// and the error of the lowest-numbered failing chunk is returned (so
   /// error reporting is deterministic too). `stats`, when given,
-  /// accumulates the chunk count and the slowest chunk's wall time.
+  /// accumulates the worker count and the slowest worker's wall time:
+  /// chunks and the slowest chunk when they run in parallel, one worker
+  /// and the summed chunk time when they run inline (a one-thread pool,
+  /// a single chunk, or a call nested inside a chunk body).
   Status ParallelFor(int64_t n, int64_t grain, const RangeFn& fn,
                      ParallelStats* stats = nullptr);
 

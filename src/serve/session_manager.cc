@@ -5,6 +5,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/timer.h"
+
 namespace sgl {
 namespace serve {
 
@@ -45,6 +47,10 @@ SessionManager::SessionManager(SessionManagerOptions options)
   rejected_ = metrics_.GetCounter("serve.rejected");
   closed_ = metrics_.GetCounter("serve.closed");
   ticks_ = metrics_.GetCounter("serve.ticks");
+  round_ns_ = metrics_.GetHistogram(
+      "serve.round_ns",
+      {100000, 1000000, 10000000, 100000000, 1000000000, 10000000000},
+      obs::kMetricExecDependent);
 }
 
 Result<std::unique_ptr<SessionManager>> SessionManager::Create(
@@ -143,6 +149,8 @@ Result<int64_t> SessionManager::RunRound() {
     SessionId id;
     Simulation* sim;
     int64_t ticks;
+    int64_t ran;     // ticks that completed
+    Status status;  // the first failed tick's error
   };
   std::vector<Slice> plan;
   {
@@ -151,27 +159,56 @@ Result<int64_t> SessionManager::RunRound() {
     for (auto& [id, session] : sessions_) {
       const int64_t ticks =
           std::min(session.pending_ticks, options_.tick_budget);
-      if (ticks > 0) plan.push_back(Slice{id, session.sim.get(), ticks});
-    }
-  }
-  int64_t executed = 0;
-  for (const Slice& slice : plan) {
-    for (int64_t i = 0; i < slice.ticks; ++i) {
-      Status st = slice.sim->Tick();
-      if (!st.ok()) {
-        return Status(st.code(),
-                      "session " + std::to_string(slice.id) + ": " +
-                          st.ToString());
+      if (ticks > 0) {
+        plan.push_back(Slice{id, session.sim.get(), ticks, 0, Status::OK()});
       }
-      ++executed;
     }
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = sessions_.find(slice.id);
-    if (it != sessions_.end()) it->second.pending_ticks -= slice.ticks;
-    ticks_->Add(slice.ticks);
   }
+  if (plan.empty()) return 0;
+
+  // A slice stops at its first failed tick; the other slices still run.
+  const auto run_slice = [](Slice* slice) {
+    while (slice->ran < slice->ticks) {
+      slice->status = slice->sim->Tick();
+      if (!slice->status.ok()) return;
+      ++slice->ran;
+    }
+  };
+  const Timer round_timer;
+  const int64_t num_slices = static_cast<int64_t>(plan.size());
+  if (num_slices >= pool_->num_threads()) {
+    // Side by side: every pool thread ticks its contiguous run of slices.
+    // A session's own ParallelFor calls then run inline on that thread
+    // with the same chunk bounds, so each session stays bit-identical to
+    // its solo run.
+    SGL_RETURN_NOT_OK(pool_->ParallelFor(
+        num_slices, /*grain=*/1, [&](int32_t, int64_t lo, int64_t hi) {
+          for (int64_t s = lo; s < hi; ++s) run_slice(&plan[s]);
+          return Status::OK();
+        }));
+  } else {
+    // Fewer sessions than threads: one after another, each tick getting
+    // the whole pool.
+    for (Slice& slice : plan) run_slice(&slice);
+  }
+
   std::lock_guard<std::mutex> lock(mu_);
+  round_ns_->Record(round_timer.Nanos());
+  int64_t executed = 0;
+  Status first_error;
+  for (const Slice& slice : plan) {
+    auto it = sessions_.find(slice.id);
+    if (it != sessions_.end()) it->second.pending_ticks -= slice.ran;
+    ticks_->Add(slice.ran);
+    executed += slice.ran;
+    if (first_error.ok() && !slice.status.ok()) {
+      first_error = Status(slice.status.code(),
+                           "session " + std::to_string(slice.id) + ": " +
+                               slice.status.ToString());
+    }
+  }
   RefreshGaugesLocked();
+  if (!first_error.ok()) return first_error;
   return executed;
 }
 
@@ -250,6 +287,19 @@ std::string SessionManager::MetricsJson(bool deterministic_only) const {
   std::map<std::string, int64_t> merged;
   for (const auto& [name, value] : metrics_.Values(deterministic_only)) {
     merged[name] = value;
+  }
+  if (!deterministic_only) {
+    // The round-latency histogram, flattened: count, sum and one entry
+    // per bucket, keyed by its upper edge.
+    const std::string prefix = round_ns_->name() + ".";
+    merged[prefix + "count"] = round_ns_->count();
+    merged[prefix + "sum"] = round_ns_->sum();
+    const std::vector<int64_t>& edges = round_ns_->edges();
+    for (size_t b = 0; b <= edges.size(); ++b) {
+      merged[prefix + "bucket." +
+             (b < edges.size() ? std::to_string(edges[b]) : "inf")] =
+          round_ns_->bucket_count(b);
+    }
   }
   for (const auto& [id, session] : sessions_) {
     const std::string prefix = "session." + std::to_string(id) + ".";

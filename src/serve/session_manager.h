@@ -11,10 +11,16 @@
 // ActionInlet for externally injected unit actions with per-session
 // queue-depth backpressure.
 //
-// Determinism carries through the whole stack: sessions tick sequentially
-// on the serving thread, each against the shared pool, and pool chunking
-// depends only on the pool size — so a session co-scheduled with K - 1
-// neighbors is bit-identical to the same simulation run alone on an
+// A round is planned once per call. With at least as many sessions due as
+// pool threads, the sessions tick side by side: each pool thread runs its
+// contiguous run of sessions, and the ParallelFor calls inside those
+// ticks run inline on that thread. With fewer (one session, say), they
+// tick one after another and each tick gets the whole pool.
+//
+// Determinism carries through the whole stack: a tick reads only its own
+// frozen world, and pool chunking depends only on the pool size — inline
+// nested calls use the same chunk bounds — so a session co-scheduled with
+// K - 1 neighbors is bit-identical to the same simulation run alone on an
 // equally sized pool, injected actions included (tests/serve_test.cc
 // enforces the full matrix).
 //
@@ -95,9 +101,17 @@ class SessionManager {
   /// the next rounds.
   Status ScheduleTicks(SessionId id, int64_t ticks);
 
-  /// One scheduling round: every open session, in ascending id order,
-  /// advances min(pending, tick_budget) ticks on the shared pool.
-  /// Returns the number of ticks executed (0 = every session idle).
+  /// One scheduling round: every open session advances min(pending,
+  /// tick_budget) ticks on the shared pool. When at least as many
+  /// sessions are due as the pool has threads, they tick side by side as
+  /// pool tasks; otherwise one after another in ascending id order, each
+  /// tick using the whole pool. Returns the number of ticks executed
+  /// (0 = every session idle).
+  ///
+  /// A failing session stops at its first failed tick; every other
+  /// session still runs its slice. Completed ticks are always debited
+  /// from pending and counted in serve.ticks, and the error returned is
+  /// the lowest-id failing session's, prefixed "session <id>: ".
   Result<int64_t> RunRound();
 
   /// RunRound until no session has pending ticks.
@@ -120,9 +134,10 @@ class SessionManager {
   const std::shared_ptr<exec::ThreadPool>& executor() const { return pool_; }
 
   /// One flat name-sorted JSON object: the manager's own serve.* metrics
+  /// (the serve.round_ns histogram as .count, .sum and .bucket.<edge>)
   /// plus every session's registry re-keyed session.<id>.<name>. With
-  /// `deterministic_only`, sessions contribute only their deterministic
-  /// metrics — the form the lockstep tests compare.
+  /// `deterministic_only`, only deterministic metrics are kept — the form
+  /// the lockstep tests compare.
   std::string MetricsJson(bool deterministic_only = false) const;
 
  private:
@@ -153,6 +168,8 @@ class SessionManager {
   obs::Counter* rejected_ = nullptr;
   obs::Counter* closed_ = nullptr;
   obs::Counter* ticks_ = nullptr;
+  /// Wall time of each non-empty round (exec-dependent).
+  obs::Histogram* round_ns_ = nullptr;
 };
 
 }  // namespace serve

@@ -12,6 +12,7 @@
 #include "env/table.h"
 #include "exec/sharded_effect_buffer.h"
 #include "exec/thread_pool.h"
+#include "util/timer.h"
 
 namespace sgl {
 namespace exec {
@@ -84,18 +85,35 @@ TEST(ThreadPool, ReturnsLowestNumberedChunkError) {
 TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
   ThreadPool pool(4);
   std::atomic<int64_t> total{0};
-  Status st = pool.ParallelFor(4, 1, [&](int32_t, int64_t, int64_t) {
+  // Per outer chunk: the nested call's stats and the busy time its inner
+  // chunks measured themselves.
+  std::vector<ParallelStats> inner_stats(4);
+  std::vector<int64_t> inner_busy_ns(4, 0);
+  Status st = pool.ParallelFor(4, 1, [&](int32_t outer, int64_t, int64_t) {
     int64_t local = 0;
-    SGL_RETURN_NOT_OK(
-        pool.ParallelFor(100, 10, [&](int32_t, int64_t lo, int64_t hi) {
+    SGL_RETURN_NOT_OK(pool.ParallelFor(
+        100, 10,
+        [&](int32_t, int64_t lo, int64_t hi) {
           local += hi - lo;  // inline on this worker: no race on local
+          const Timer spin;
+          while (spin.Nanos() < 200000) {
+          }
+          inner_busy_ns[outer] += spin.Nanos();
           return Status::OK();
-        }));
+        },
+        &inner_stats[outer]));
     total.fetch_add(local);
     return Status::OK();
   });
   ASSERT_TRUE(st.ok());
   EXPECT_EQ(400, total.load());
+  // All four inner chunks ran on one thread, one after another: the stats
+  // report one worker busy for their summed time, not four in parallel.
+  for (int32_t outer = 0; outer < 4; ++outer) {
+    EXPECT_EQ(1, inner_stats[outer].workers) << "outer chunk " << outer;
+    EXPECT_GE(inner_stats[outer].max_worker_ns, inner_busy_ns[outer])
+        << "outer chunk " << outer;
+  }
 }
 
 TEST(ThreadPool, SingleThreadPoolRunsOnCallerInChunkOrder) {

@@ -2,18 +2,24 @@
 //
 //  * Lockstep: K sessions sharing one SessionManager pool must be
 //    bit-identical to the same simulations run solo, for every registered
-//    scenario x {naive, indexed, adaptive} x pool size {1, 4} threads,
-//    with and without injected actions.
+//    scenario x {naive, indexed, adaptive} x (pool size, sessions) in
+//    {(1, 2), (2, 2), (2, 3), (4, 2)}, with and without injected
+//    actions. (2, 2) and (2, 3) tick the sessions side by side, the
+//    latter in uneven chunks; the others tick them one after another.
+//    Storage-backed sessions ticking side by side, with a mid-run
+//    checkpoint, match their solo runs and restore from their dirs.
 //  * Injected-action replay: a live-injection run is reproduced bit for
 //    bit by replaying its recorded inlet log into a fresh session.
 //  * Admission control: session, row, and queue-depth limits reject with
 //    kResourceExhausted and count serve.rejected.
 //  * Scheduler fairness: round-robin with a tick budget never lets one
-//    session starve another over a 1k-tick run.
+//    session starve another over a 1k-tick run, and a failing session
+//    neither starves its neighbours nor loses its completed ticks.
 //  * The consolidated SimulationConfig::Validate() vocabulary rides
 //    along.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -75,15 +81,22 @@ TEST_P(ServeScenarioTest, SharedPoolSessionsMatchSoloRuns) {
   const std::string& name = GetParam();
   const ScenarioParams params = SmallParams();
   constexpr int64_t kTicks = 8;
-  constexpr int32_t kSessions = 2;
+  struct Shape {
+    int32_t threads;
+    int32_t sessions;
+  };
 
   for (EvaluatorMode mode : {EvaluatorMode::kNaive, EvaluatorMode::kIndexed,
                              EvaluatorMode::kAdaptive}) {
-    for (int32_t threads : {1, 4}) {
+    for (const Shape shape : {Shape{1, 2}, Shape{2, 2}, Shape{2, 3},
+                              Shape{4, 2}}) {
+      const int32_t threads = shape.threads;
       for (bool inject : {false, true}) {
         const SimulationConfig config = ServeConfig(mode, threads);
         const std::string label = name + " mode=" + EvaluatorModeName(mode) +
                                   " threads=" + std::to_string(threads) +
+                                  " sessions=" +
+                                  std::to_string(shape.sessions) +
                                   " inject=" + std::to_string(inject);
 
         // Solo baseline: its own pool, same resolved size.
@@ -97,7 +110,7 @@ TEST_P(ServeScenarioTest, SharedPoolSessionsMatchSoloRuns) {
         ASSERT_TRUE(manager.ok()) << manager.status().ToString();
 
         std::vector<SessionId> ids;
-        for (int32_t s = 0; s < kSessions; ++s) {
+        for (int32_t s = 0; s < shape.sessions; ++s) {
           SimulationBuilder builder;
           ASSERT_TRUE(ScenarioRegistry::Global()
                           .PrepareBuilder(name, params, config, &builder)
@@ -124,7 +137,7 @@ TEST_P(ServeScenarioTest, SharedPoolSessionsMatchSoloRuns) {
           auto executed = (*manager)->RunRound();
           ASSERT_TRUE(executed.ok()) << label << ": "
                                      << executed.status().ToString();
-          ASSERT_EQ(kSessions, *executed);
+          ASSERT_EQ(shape.sessions, *executed);
           for (SessionId id : ids) {
             const Simulation* session = (*manager)->session(id);
             ASSERT_NE(session, nullptr);
@@ -156,6 +169,102 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<std::string>& info) {
       return info.param;
     });
+
+/// A fresh, empty directory under the test temp dir.
+std::string FreshDir(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + "/serve_" + name;
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+// Two storage-backed epidemic sessions, each on its own directory, tick
+// side by side on a 2-thread pool with injected actions and a mid-run
+// checkpoint — the serve-durable shape. Each must match its solo
+// in-memory run tick by tick, and a restore of its directory must match
+// the live session.
+TEST(ServeStorageTest, StorageSessionsTickSideBySideLikeSoloRuns) {
+  constexpr int32_t kSessions = 2;
+  constexpr int64_t kTicks = 10;
+  constexpr int64_t kCheckpointAt = 5;
+
+  SessionManagerOptions options;
+  options.threads = 2;
+  options.tick_budget = 1;
+  auto manager = SessionManager::Create(options);
+  ASSERT_TRUE(manager.ok()) << manager.status().ToString();
+
+  std::vector<ScenarioParams> params;
+  std::vector<std::string> dirs;
+  std::vector<std::unique_ptr<Simulation>> solos;
+  std::vector<SessionId> ids;
+  for (int32_t s = 0; s < kSessions; ++s) {
+    ScenarioParams p = SmallParams();
+    p.seed = 40 + static_cast<uint64_t>(s);
+    params.push_back(p);
+    dirs.push_back(FreshDir("durable_s" + std::to_string(s)));
+
+    auto solo = ScenarioRegistry::Global().BuildSimulation(
+        "epidemic", p, ServeConfig(EvaluatorMode::kIndexed, 2));
+    ASSERT_TRUE(solo.ok()) << solo.status().ToString();
+    solos.push_back(solo.MoveValue());
+
+    SimulationConfig config = ServeConfig(EvaluatorMode::kIndexed, 2);
+    config.storage.path = dirs.back();
+    SimulationBuilder builder;
+    ASSERT_TRUE(ScenarioRegistry::Global()
+                    .PrepareBuilder("epidemic", p, config, &builder)
+                    .ok());
+    auto id = (*manager)->Open(builder);
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ids.push_back(*id);
+  }
+
+  for (int64_t tick = 0; tick < kTicks; ++tick) {
+    for (int32_t s = 0; s < kSessions; ++s) {
+      for (const InjectedAction& action : InjectionsForTick(tick + s)) {
+        solos[s]->inlet()->Push(action);
+        ASSERT_TRUE((*manager)->Inject(ids[s], action).ok());
+      }
+      ASSERT_TRUE(solos[s]->Tick().ok());
+      ASSERT_TRUE((*manager)->ScheduleTicks(ids[s], 1).ok());
+    }
+    auto executed = (*manager)->RunRound();
+    ASSERT_TRUE(executed.ok()) << executed.status().ToString();
+    ASSERT_EQ(kSessions, *executed);
+    for (int32_t s = 0; s < kSessions; ++s) {
+      const Simulation* session = (*manager)->session(ids[s]);
+      ASSERT_TRUE(session->table().Equals(solos[s]->table()))
+          << "session " << s << " diverged at tick " << tick << ":\n"
+          << session->table().DiffString(solos[s]->table());
+    }
+    if (tick + 1 == kCheckpointAt) {
+      for (int32_t s = 0; s < kSessions; ++s) {
+        ASSERT_TRUE((*manager)->session(ids[s])->Checkpoint(dirs[s]).ok());
+      }
+    }
+  }
+
+  // Recover each session from a copy of its directory (the live store
+  // keeps the original open): checkpoint plus WAL replay.
+  for (int32_t s = 0; s < kSessions; ++s) {
+    const Simulation* live = (*manager)->session(ids[s]);
+    EXPECT_EQ(live->MetricsJson(/*deterministic_only=*/true),
+              solos[s]->MetricsJson(/*deterministic_only=*/true))
+        << "session " << s;
+    const std::string copy = FreshDir("durable_copy" + std::to_string(s));
+    std::filesystem::copy(dirs[s], copy,
+                          std::filesystem::copy_options::recursive);
+    auto restored = ScenarioRegistry::Global().BuildSimulation(
+        "epidemic", params[s], ServeConfig(EvaluatorMode::kIndexed, 1));
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    Status st = (*restored)->RestoreFrom(copy);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    EXPECT_EQ(live->tick_count(), (*restored)->tick_count());
+    EXPECT_TRUE((*restored)->table().Equals(live->table()))
+        << "session " << s << ":\n"
+        << (*restored)->table().DiffString(live->table());
+  }
+}
 
 // --------------------------------------------------------- action replay
 
@@ -474,6 +583,97 @@ TEST(SessionManagerTest, RoundRobinNeverStarvesASession) {
   for (SessionId id : ids) {
     EXPECT_EQ(kPerSession, (*manager)->session(id)->tick_count());
   }
+}
+
+// Session 0 is opened over a directory holding a world it never restored,
+// so its first tick fails; session 1 is healthy. On either path (one
+// after another on 1 thread, side by side on 2), session 1 still runs its
+// slice, session 0 keeps its pending ticks, serve.ticks counts only the
+// ticks that ran, and the error names session 0.
+TEST(SessionManagerTest, FailingSessionNeitherStarvesNeighboursNorLosesTicks) {
+  for (int32_t threads : {1, 2}) {
+    const std::string label = "threads=" + std::to_string(threads);
+    const std::string dir = FreshDir("unrestored_t" + std::to_string(threads));
+    SimulationConfig config = ServeConfig(EvaluatorMode::kIndexed, 1);
+    config.storage.path = dir;
+    {
+      auto earlier = ScenarioRegistry::Global().BuildSimulation(
+          "battle", SmallParams(), config);
+      ASSERT_TRUE(earlier.ok()) << earlier.status().ToString();
+      ASSERT_TRUE((*earlier)->Run(3).ok());
+      ASSERT_TRUE((*earlier)->Checkpoint(dir).ok());
+    }
+
+    SessionManagerOptions options;
+    options.threads = threads;
+    auto manager = SessionManager::Create(options);
+    ASSERT_TRUE(manager.ok());
+    SimulationBuilder unrestored;
+    ASSERT_TRUE(ScenarioRegistry::Global()
+                    .PrepareBuilder("battle", SmallParams(), config,
+                                    &unrestored)
+                    .ok());
+    auto broken = (*manager)->Open(unrestored);
+    ASSERT_TRUE(broken.ok()) << broken.status().ToString();
+    auto healthy = TinyWorldBuilder(5);
+    auto fine = (*manager)->Open(*healthy);
+    ASSERT_TRUE(fine.ok()) << fine.status().ToString();
+    ASSERT_EQ(0, *broken);
+
+    ASSERT_TRUE((*manager)->ScheduleTicks(*broken, 3).ok());
+    ASSERT_TRUE((*manager)->ScheduleTicks(*fine, 3).ok());
+    auto round = (*manager)->RunRound();
+    ASSERT_FALSE(round.ok()) << label;
+    EXPECT_EQ(0u, round.status().message().find("session 0: "))
+        << label << ": " << round.status().ToString();
+    EXPECT_NE(std::string::npos,
+              round.status().ToString().find("RestoreFrom"))
+        << label << ": " << round.status().ToString();
+
+    EXPECT_EQ(3, (*manager)->session(*fine)->tick_count()) << label;
+    EXPECT_EQ(0, (*manager)->session(*broken)->tick_count()) << label;
+    const std::string metrics = (*manager)->MetricsJson();
+    EXPECT_NE(std::string::npos, metrics.find("\"serve.ticks\":3"))
+        << label << ": " << metrics;
+    // Only session 0's three ticks are still pending.
+    EXPECT_NE(std::string::npos, metrics.find("\"serve.queued_ticks\":3"))
+        << label << ": " << metrics;
+  }
+}
+
+// serve.round_ns records one sample per round that had work, and stays
+// out of the deterministic snapshot.
+TEST(SessionManagerTest, RoundLatencyHistogramCountsNonEmptyRounds) {
+  SessionManagerOptions options;
+  options.threads = 2;
+  options.tick_budget = 4;
+  auto manager = SessionManager::Create(options);
+  ASSERT_TRUE(manager.ok());
+  std::vector<SessionId> ids;
+  for (uint64_t seed : {1u, 2u}) {
+    auto builder = TinyWorldBuilder(seed);
+    auto id = (*manager)->Open(*builder);
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ids.push_back(*id);
+  }
+  EXPECT_NE(std::string::npos,
+            (*manager)->MetricsJson().find("\"serve.round_ns.count\":0"));
+
+  // 10 ticks at a budget of 4: rounds of 8, 8 and 4 ticks, then idle.
+  for (SessionId id : ids) ASSERT_TRUE((*manager)->ScheduleTicks(id, 10).ok());
+  ASSERT_TRUE((*manager)->RunUntilIdle().ok());
+  auto idle = (*manager)->RunRound();
+  ASSERT_TRUE(idle.ok());
+  EXPECT_EQ(0, *idle);
+
+  const std::string metrics = (*manager)->MetricsJson();
+  EXPECT_NE(std::string::npos, metrics.find("\"serve.round_ns.count\":3"))
+      << metrics;
+  EXPECT_NE(std::string::npos, metrics.find("\"serve.round_ns.bucket.inf\":"))
+      << metrics;
+  EXPECT_EQ(std::string::npos,
+            (*manager)->MetricsJson(/*deterministic_only=*/true)
+                .find("serve.round_ns"));
 }
 
 TEST(SessionManagerTest, CloseDrainsPendingTicksGracefully) {
