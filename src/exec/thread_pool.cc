@@ -1,6 +1,7 @@
 #include "exec/thread_pool.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/timer.h"
 
@@ -105,22 +106,25 @@ Status ThreadPool::ParallelFor(int64_t n, int64_t grain, const RangeFn& fn,
 
   // Sequential path: one chunk, a single-thread pool, or a nested call
   // from inside a chunk body. Chunk indexing and bounds are identical to
-  // the parallel path, so per-chunk outputs merge the same way. Every
-  // chunk runs on this one thread, so the stats say so: one worker, busy
-  // for the sum of the chunk times.
+  // the parallel path, so per-chunk outputs merge the same way, and as
+  // there every chunk runs even after one fails. Every chunk runs on this
+  // one thread, so the stats say so: one worker, busy for the sum of the
+  // chunk times.
   if (chunks <= 1 || workers_.empty() || tl_in_chunk) {
     int64_t total_ns = 0;
+    Status first_error;
     for (int32_t c = 0; c < chunks; ++c) {
       auto [lo, hi] = ChunkBounds(n, chunks, c);
       Timer timer;
-      SGL_RETURN_NOT_OK(fn(c, lo, hi));
+      Status st = fn(c, lo, hi);
       total_ns += timer.Nanos();
+      if (first_error.ok() && !st.ok()) first_error = std::move(st);
     }
     if (stats != nullptr) {
       stats->workers = std::max<int64_t>(stats->workers, 1);
       stats->max_worker_ns += total_ns;
     }
-    return Status::OK();
+    return first_error;
   }
 
   Task task;

@@ -113,6 +113,30 @@ std::vector<std::pair<std::string, int64_t>> MetricsRegistry::Values(
   return out;
 }
 
+std::vector<std::pair<std::string, int64_t>> MetricsRegistry::FlatValues(
+    bool deterministic_only) const {
+  std::vector<std::pair<std::string, int64_t>> out =
+      Values(deterministic_only);
+  for (const auto& entry : histograms_) {
+    const Histogram& h = *entry.second;
+    if (deterministic_only && (h.flags() & kMetricExecDependent) != 0) {
+      continue;
+    }
+    const std::string prefix = entry.first + ".";
+    out.emplace_back(prefix + "count", h.count());
+    out.emplace_back(prefix + "sum", h.sum());
+    for (size_t b = 0; b <= h.edges().size(); ++b) {
+      out.emplace_back(prefix + "bucket." +
+                           (b < h.edges().size()
+                                ? std::to_string(h.edges()[b])
+                                : std::string("inf")),
+                       h.bucket_count(b));
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 std::string MetricsRegistry::ToJson(bool deterministic_only) const {
   std::ostringstream os;
   os << "{\"counters\":{";

@@ -173,6 +173,12 @@ class MetricsRegistry {
   std::vector<std::pair<std::string, int64_t>> Values(
       bool deterministic_only = false) const;
 
+  /// Values() plus every histogram flattened into "<name>.count",
+  /// "<name>.sum" and one "<name>.bucket.<edge>" per bucket ("inf" for
+  /// the unbounded one), name-sorted — for flat one-object exporters.
+  std::vector<std::pair<std::string, int64_t>> FlatValues(
+      bool deterministic_only = false) const;
+
   /// One-line JSON snapshot:
   ///   {"counters":{...},"gauges":{...},"histograms":{...}}
   /// with names sorted, so two snapshots of identical state are

@@ -174,23 +174,19 @@ Result<int64_t> SessionManager::RunRound() {
       ++slice->ran;
     }
   };
+  // Side by side: the pool splits the slices into at most num_threads()
+  // contiguous runs and each pool thread ticks its run. A session's own
+  // ParallelFor calls then run inline on that thread with the same chunk
+  // bounds, so each session stays bit-identical to its solo run. A lone
+  // slice is one chunk, run on this thread outside any chunk body, so its
+  // tick still gets the whole pool.
   const Timer round_timer;
-  const int64_t num_slices = static_cast<int64_t>(plan.size());
-  if (num_slices >= pool_->num_threads()) {
-    // Side by side: every pool thread ticks its contiguous run of slices.
-    // A session's own ParallelFor calls then run inline on that thread
-    // with the same chunk bounds, so each session stays bit-identical to
-    // its solo run.
-    SGL_RETURN_NOT_OK(pool_->ParallelFor(
-        num_slices, /*grain=*/1, [&](int32_t, int64_t lo, int64_t hi) {
-          for (int64_t s = lo; s < hi; ++s) run_slice(&plan[s]);
-          return Status::OK();
-        }));
-  } else {
-    // Fewer sessions than threads: one after another, each tick getting
-    // the whole pool.
-    for (Slice& slice : plan) run_slice(&slice);
-  }
+  SGL_RETURN_NOT_OK(pool_->ParallelFor(
+      static_cast<int64_t>(plan.size()), /*grain=*/1,
+      [&](int32_t, int64_t lo, int64_t hi) {
+        for (int64_t s = lo; s < hi; ++s) run_slice(&plan[s]);
+        return Status::OK();
+      }));
 
   std::lock_guard<std::mutex> lock(mu_);
   round_ns_->Record(round_timer.Nanos());
@@ -285,26 +281,13 @@ std::string SessionManager::MetricsJson(bool deterministic_only) const {
   // session's registry under its session.<id>. prefix. std::map keeps
   // the rendering byte-stable for identical state.
   std::map<std::string, int64_t> merged;
-  for (const auto& [name, value] : metrics_.Values(deterministic_only)) {
+  for (const auto& [name, value] : metrics_.FlatValues(deterministic_only)) {
     merged[name] = value;
-  }
-  if (!deterministic_only) {
-    // The round-latency histogram, flattened: count, sum and one entry
-    // per bucket, keyed by its upper edge.
-    const std::string prefix = round_ns_->name() + ".";
-    merged[prefix + "count"] = round_ns_->count();
-    merged[prefix + "sum"] = round_ns_->sum();
-    const std::vector<int64_t>& edges = round_ns_->edges();
-    for (size_t b = 0; b <= edges.size(); ++b) {
-      merged[prefix + "bucket." +
-             (b < edges.size() ? std::to_string(edges[b]) : "inf")] =
-          round_ns_->bucket_count(b);
-    }
   }
   for (const auto& [id, session] : sessions_) {
     const std::string prefix = "session." + std::to_string(id) + ".";
     for (const auto& [name, value] :
-         session.sim->metrics().Values(deterministic_only)) {
+         session.sim->metrics().FlatValues(deterministic_only)) {
       merged[prefix + name] = value;
     }
   }

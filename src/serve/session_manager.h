@@ -11,11 +11,11 @@
 // ActionInlet for externally injected unit actions with per-session
 // queue-depth backpressure.
 //
-// A round is planned once per call. With at least as many sessions due as
-// pool threads, the sessions tick side by side: each pool thread runs its
-// contiguous run of sessions, and the ParallelFor calls inside those
-// ticks run inline on that thread. With fewer (one session, say), they
-// tick one after another and each tick gets the whole pool.
+// A round is planned once per call, and its sessions tick side by side:
+// the pool splits the due sessions into at most one contiguous run per
+// thread, each pool thread ticks its run, and the ParallelFor calls inside
+// those ticks run inline on that thread. A lone due session is a single
+// run on the serving thread, so its tick still gets the whole pool.
 //
 // Determinism carries through the whole stack: a tick reads only its own
 // frozen world, and pool chunking depends only on the pool size — inline
@@ -102,11 +102,10 @@ class SessionManager {
   Status ScheduleTicks(SessionId id, int64_t ticks);
 
   /// One scheduling round: every open session advances min(pending,
-  /// tick_budget) ticks on the shared pool. When at least as many
-  /// sessions are due as the pool has threads, they tick side by side as
-  /// pool tasks; otherwise one after another in ascending id order, each
-  /// tick using the whole pool. Returns the number of ticks executed
-  /// (0 = every session idle).
+  /// tick_budget) ticks on the shared pool. The due sessions tick side by
+  /// side as pool tasks, each pool thread taking a contiguous run of them
+  /// in ascending id order; a lone due session's tick uses the whole pool.
+  /// Returns the number of ticks executed (0 = every session idle).
   ///
   /// A failing session stops at its first failed tick; every other
   /// session still runs its slice. Completed ticks are always debited
@@ -134,8 +133,9 @@ class SessionManager {
   const std::shared_ptr<exec::ThreadPool>& executor() const { return pool_; }
 
   /// One flat name-sorted JSON object: the manager's own serve.* metrics
-  /// (the serve.round_ns histogram as .count, .sum and .bucket.<edge>)
-  /// plus every session's registry re-keyed session.<id>.<name>. With
+  /// plus every session's registry re-keyed session.<id>.<name>;
+  /// histograms (serve.round_ns, a session's engine.tick.ns) appear as
+  /// .count, .sum and .bucket.<edge> entries. With
   /// `deterministic_only`, only deterministic metrics are kept — the form
   /// the lockstep tests compare.
   std::string MetricsJson(bool deterministic_only = false) const;

@@ -82,6 +82,46 @@ TEST(ThreadPool, ReturnsLowestNumberedChunkError) {
   for (int32_t c = 0; c < 4; ++c) EXPECT_EQ(1, ran[c]) << "chunk " << c;
 }
 
+TEST(ThreadPool, InlineParallelForRunsEveryChunkAndReturnsLowestError) {
+  // A call nested inside a chunk body runs its chunks inline, one after
+  // another; a failing chunk must not skip the later ones, exactly as on
+  // the parallel path.
+  ThreadPool pool(4);
+  std::vector<std::vector<int32_t>> ran(2, std::vector<int32_t>(4, 0));
+  std::vector<Status> inner(2);
+  Status st = pool.ParallelFor(2, 1, [&](int32_t outer, int64_t, int64_t) {
+    inner[outer] =
+        pool.ParallelFor(4, 1, [&](int32_t c, int64_t, int64_t) {
+          ran[outer][c] = 1;
+          if (c == 1) return Status::ExecutionError("chunk one failed");
+          if (c == 3) return Status::ExecutionError("chunk three failed");
+          return Status::OK();
+        });
+    return Status::OK();
+  });
+  ASSERT_TRUE(st.ok());
+  for (int32_t outer = 0; outer < 2; ++outer) {
+    ASSERT_FALSE(inner[outer].ok()) << "outer chunk " << outer;
+    EXPECT_NE(std::string::npos,
+              inner[outer].message().find("chunk one failed"));
+    for (int32_t c = 0; c < 4; ++c) {
+      EXPECT_EQ(1, ran[outer][c]) << "outer " << outer << " chunk " << c;
+    }
+  }
+
+  // A one-thread pool runs everything inline as a single chunk; its error
+  // comes back as is.
+  ThreadPool solo(1);
+  int32_t calls = 0;
+  Status solo_st = solo.ParallelFor(10, 1, [&](int32_t, int64_t, int64_t) {
+    ++calls;
+    return Status::ExecutionError("solo chunk failed");
+  });
+  EXPECT_EQ(1, calls);
+  ASSERT_FALSE(solo_st.ok());
+  EXPECT_NE(std::string::npos, solo_st.message().find("solo chunk failed"));
+}
+
 TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
   ThreadPool pool(4);
   std::atomic<int64_t> total{0};

@@ -8,6 +8,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/simulation.h"
@@ -77,6 +78,30 @@ TEST(Metrics, DeterministicSnapshotDropsExecDependent) {
   EXPECT_NE(all.find("\"stable\""), std::string::npos);
   EXPECT_EQ(det.find("\"wallclock\""), std::string::npos);
   EXPECT_NE(det.find("\"stable\""), std::string::npos);
+}
+
+TEST(Metrics, FlatValuesFlattenHistogramsAndFollowTheDeterminismRule) {
+  obs::MetricsRegistry reg;
+  reg.GetCounter("c")->Add(2);
+  reg.GetHistogram("h", {10})->Record(4);
+  reg.GetHistogram("t", {10}, obs::kMetricExecDependent)->Record(40);
+  using Flat = std::vector<std::pair<std::string, int64_t>>;
+  EXPECT_EQ((Flat{{"c", 2},
+                  {"h.bucket.10", 1},
+                  {"h.bucket.inf", 0},
+                  {"h.count", 1},
+                  {"h.sum", 4},
+                  {"t.bucket.10", 0},
+                  {"t.bucket.inf", 1},
+                  {"t.count", 1},
+                  {"t.sum", 40}}),
+            reg.FlatValues());
+  EXPECT_EQ((Flat{{"c", 2},
+                  {"h.bucket.10", 1},
+                  {"h.bucket.inf", 0},
+                  {"h.count", 1},
+                  {"h.sum", 4}}),
+            reg.FlatValues(/*deterministic_only=*/true));
 }
 
 // --------------------------------------------------------------- tracer

@@ -4,8 +4,9 @@
 //    bit-identical to the same simulations run solo, for every registered
 //    scenario x {naive, indexed, adaptive} x (pool size, sessions) in
 //    {(1, 2), (2, 2), (2, 3), (4, 2)}, with and without injected
-//    actions. (2, 2) and (2, 3) tick the sessions side by side, the
-//    latter in uneven chunks; the others tick them one after another.
+//    actions. (1, 2) ticks both sessions in one chunk on the serving
+//    thread, (2, 2) side by side, (2, 3) side by side in uneven chunks,
+//    and (4, 2) side by side with fewer sessions than threads.
 //    Storage-backed sessions ticking side by side, with a mid-run
 //    checkpoint, match their solo runs and restore from their dirs.
 //  * Injected-action replay: a live-injection run is reproduced bit for
@@ -586,8 +587,8 @@ TEST(SessionManagerTest, RoundRobinNeverStarvesASession) {
 }
 
 // Session 0 is opened over a directory holding a world it never restored,
-// so its first tick fails; session 1 is healthy. On either path (one
-// after another on 1 thread, side by side on 2), session 1 still runs its
+// so its first tick fails; session 1 is healthy. Whether they tick one
+// after another (1 thread) or side by side (2), session 1 still runs its
 // slice, session 0 keeps its pending ticks, serve.ticks counts only the
 // ticks that ran, and the error names session 0.
 TEST(SessionManagerTest, FailingSessionNeitherStarvesNeighboursNorLosesTicks) {
@@ -642,7 +643,8 @@ TEST(SessionManagerTest, FailingSessionNeitherStarvesNeighboursNorLosesTicks) {
 }
 
 // serve.round_ns records one sample per round that had work, and stays
-// out of the deterministic snapshot.
+// out of the deterministic snapshot; each session's engine.tick.ns
+// histogram is exported the same way.
 TEST(SessionManagerTest, RoundLatencyHistogramCountsNonEmptyRounds) {
   SessionManagerOptions options;
   options.threads = 2;
@@ -671,9 +673,15 @@ TEST(SessionManagerTest, RoundLatencyHistogramCountsNonEmptyRounds) {
       << metrics;
   EXPECT_NE(std::string::npos, metrics.find("\"serve.round_ns.bucket.inf\":"))
       << metrics;
-  EXPECT_EQ(std::string::npos,
-            (*manager)->MetricsJson(/*deterministic_only=*/true)
-                .find("serve.round_ns"));
+  for (SessionId id : ids) {
+    const std::string key =
+        "\"session." + std::to_string(id) + ".engine.tick.ns.count\":10";
+    EXPECT_NE(std::string::npos, metrics.find(key)) << key << " in " << metrics;
+  }
+  const std::string deterministic =
+      (*manager)->MetricsJson(/*deterministic_only=*/true);
+  EXPECT_EQ(std::string::npos, deterministic.find("serve.round_ns"));
+  EXPECT_EQ(std::string::npos, deterministic.find("engine.tick.ns"));
 }
 
 TEST(SessionManagerTest, CloseDrainsPendingTicksGracefully) {
