@@ -215,7 +215,9 @@ Status Simulation::Tick() {
   // counter advances — a crash after this point recovers to the state
   // the tick just produced, a crash before it to the previous tick.
   if (store_ != nullptr) {
+    obs::SpanScope commit_span(tracer_.get(), "storage.commit", 0, 0);
     SGL_RETURN_NOT_OK(store_->CommitTick(table_, tick_count_));
+    table_.ClearStorageChanges();
   }
   ticks_counter_->Add(1);
   tick_ns_hist_->Record(tick_timer.Nanos());
@@ -405,10 +407,11 @@ Status Simulation::InstallWorld(EnvironmentTable table, int64_t tick) {
     table_.MarkStructuralChange();
   }
   if (store_ != nullptr) {
-    // Clone() strips the listener, so every install must re-attach it,
-    // then commit the store to this timeline: checkpointing here
-    // truncates any WAL suffix beyond `tick` (time travel rewrites
-    // history from the restored point) and rewrites cached pages.
+    // Clone() strips the listener, so every install must re-attach it
+    // (which opens an empty storage window), then commit the store to
+    // this timeline: checkpointing here truncates any WAL suffix beyond
+    // `tick` (time travel rewrites history from the restored point) and
+    // rewrites cached pages.
     table_.SetDeltaListener(store_.get());
     store_->MarkWorldInstalled();
     SGL_RETURN_NOT_OK(store_->Checkpoint(table_, tick_count_));
@@ -435,6 +438,7 @@ Status Simulation::Checkpoint(const std::string& dir) {
   }
   if (store_ != nullptr && dir == config_.storage.path) {
     SGL_RETURN_NOT_OK(store_->Checkpoint(table_, tick_count_));
+    table_.ClearStorageChanges();  // the published image holds them
   } else {
     SGL_ASSIGN_OR_RETURN(auto store, OpenStoreAt(dir));
     SGL_RETURN_NOT_OK(store->Checkpoint(table_, tick_count_));

@@ -26,13 +26,19 @@ Status EnvironmentTable::AddRowWithKey(int64_t key,
   if (key_to_row_.count(key) > 0) {
     return Status::AlreadyExists("key ", key, " already present");
   }
-  if (tracking_) changes_.structural = true;
+  if (tracking_) {
+    changes_.structural = true;
+    changes_.masks.push_back(0);
+  }
   RowId row = NumRows();
   keys_.push_back(key);
   for (size_t c = 0; c < cols_.size(); ++c) cols_[c].push_back(values[c]);
   key_to_row_[key] = row;
   next_key_ = std::max(next_key_, key + 1);
-  if (listener_ != nullptr) listener_->OnAddRow(key, row, values);
+  if (listener_ != nullptr) {
+    storage_changes_.masks.push_back(0);
+    listener_->OnAddRow(key, row, values);
+  }
   return Status::OK();
 }
 
@@ -56,28 +62,32 @@ void EnvironmentTable::EnableChangeTracking() {
   if (tracking_) return;
   tracking_ = true;
   watched_ = true;
+  changes_.masks.assign(keys_.size(), 0);
   // No change window exists yet; make the first consumer rebuild.
   changes_.structural = true;
 }
 
-void EnvironmentTable::ClearChanges() {
-  changes_.structural = false;
-  for (RowId r : changes_.dirty_rows) changes_.masks[r] = 0;
-  changes_.dirty_rows.clear();
+void EnvironmentTable::ClearChanges() { Clear(&changes_); }
+
+void EnvironmentTable::SetDeltaListener(TableDeltaListener* listener) {
+  listener_ = listener;
+  watched_ = tracking_ || listener_ != nullptr;
+  storage_changes_ = TableChanges();
+  if (listener_ != nullptr) storage_changes_.masks.assign(keys_.size(), 0);
 }
 
-void EnvironmentTable::NoteDirty(RowId row, AttrId attr) {
-  if (row >= static_cast<RowId>(changes_.masks.size())) {
-    changes_.masks.resize(NumRows(), 0);
+void EnvironmentTable::Clear(TableChanges* window) {
+  window->structural = false;
+  for (RowId r : window->dirty_rows) window->masks[r] = 0;
+  window->dirty_rows.clear();
+}
+
+void EnvironmentTable::Compact(TableChanges* window, RowId num_rows) {
+  window->masks.resize(num_rows);
+  window->dirty_rows.clear();
+  for (RowId r = 0; r < num_rows; ++r) {
+    if (window->masks[r] != 0) window->dirty_rows.push_back(r);
   }
-  uint64_t& mask = changes_.masks[row];
-  if (mask == 0) changes_.dirty_rows.push_back(row);
-  mask |= TableChanges::BitOf(attr);
-}
-
-void EnvironmentTable::NoteWrite(RowId row, AttrId attr) {
-  if (tracking_) NoteDirty(row, attr);
-  if (listener_ != nullptr) listener_->OnCellWrite(keys_[row], attr);
 }
 
 int32_t EnvironmentTable::RemoveIf(const std::function<bool(RowId)>& pred) {
@@ -98,13 +108,22 @@ int32_t EnvironmentTable::RemoveIf(const std::function<bool(RowId)>& pred) {
       keys_[out] = keys_[in];
       for (auto& col : cols_) col[out] = col[in];
       key_to_row_[keys_[out]] = out;
+      if (tracking_) changes_.masks[out] = changes_.masks[in];
+      if (listener_ != nullptr) {
+        storage_changes_.masks[out] = storage_changes_.masks[in];
+      }
     }
     ++out;
   }
+  if (out == n) return 0;
   keys_.resize(out);
   for (auto& col : cols_) col.resize(out);
-  if (tracking_ && out != n) changes_.structural = true;
-  if (listener_ != nullptr && !removed_keys.empty()) {
+  if (tracking_) {
+    Compact(&changes_, out);
+    changes_.structural = true;
+  }
+  if (listener_ != nullptr) {
+    Compact(&storage_changes_, out);
     listener_->OnRemoveRows(first_removed, removed_keys);
   }
   return n - out;

@@ -24,16 +24,22 @@ namespace sgl {
 /// Row index within an EnvironmentTable. Invalidated by RemoveIf.
 using RowId = int32_t;
 
-/// The table's record of what changed since the last ClearChanges() — the
-/// tick's delta log, consumed by the adaptive evaluator to decide between
-/// rebuilding an index family from scratch and applying the delta to it.
+/// A change window over the table: what changed since the window was
+/// last cleared. The table keeps two. The adaptive window (changes(),
+/// cleared by ClearChanges()) is the tick's delta log that the adaptive
+/// evaluator reads to decide between rebuilding an index family from
+/// scratch and applying the delta to it. The storage window
+/// (storage_changes(), cleared by ClearStorageChanges()) is what the
+/// durable store logs and writes to its pages at the end of each tick.
 ///
-/// `dirty_rows` lists each written row once, in first-write order;
-/// `attr_mask(row)` says which attributes of it changed (attribute a maps
-/// to bit min(a, 63), so schemas wider than 64 attributes stay correct,
-/// merely coarser). `structural` is set by any row addition or removal:
-/// RowIds are no longer comparable across the change window, so consumers
-/// must fall back to a full rebuild.
+/// `dirty_rows` lists each written row once; `attr_mask(row)` says which
+/// attributes of it changed (attribute a maps to bit min(a, 63), so
+/// schemas wider than 64 attributes stay correct, merely coarser). While
+/// a window is open it holds one mask per row, and RemoveIf compacts the
+/// masks together with the rows, so a row index always names the same
+/// unit as the table does. `structural` (adaptive window only) is set by
+/// any row addition or removal: RowIds are no longer comparable across
+/// the change window, so consumers must fall back to a full rebuild.
 struct TableChanges {
   bool structural = false;
   std::vector<RowId> dirty_rows;
@@ -50,18 +56,13 @@ struct TableChanges {
   std::vector<uint64_t> masks;  // indexed by row; 0 = clean
 };
 
-/// Observer of individual table mutations, keyed by unit key — the
-/// storage layer's WAL record source (src/storage/world_store.h). Unlike
-/// TableChanges (row-indexed, coarsened to one mask per row), listener
-/// events carry unit keys and fire in mutation order, so structural ops
-/// replay exactly and cell deltas survive RemoveIf's row compaction.
-/// At most one listener per table; Clone() never copies it.
+/// Observer of the table's structural mutations, keyed by unit key: the
+/// storage layer logs them in occurrence order, so replay re-applies
+/// them exactly. At most one listener per table; Clone() never copies
+/// it. Attaching one also opens the storage change window.
 class TableDeltaListener {
  public:
   virtual ~TableDeltaListener() = default;
-
-  /// A Set (or ResetEffects) changed the stored value of (key, attr).
-  virtual void OnCellWrite(int64_t key, AttrId attr) = 0;
 
   /// A row was appended at `row` with `values` (attrs 1..k).
   virtual void OnAddRow(int64_t key, RowId row,
@@ -104,9 +105,8 @@ class EnvironmentTable {
                               : cols_[attr - 1][row];
   }
 
-  /// Write a non-key attribute. With change tracking enabled, a write that
-  /// actually changes the stored value marks (row, attr) dirty; a delta
-  /// listener additionally observes it keyed by unit key.
+  /// Write a non-key attribute. A write that actually changes the stored
+  /// value marks (row, attr) in every open change window.
   void Set(RowId row, AttrId attr, double value) {
     double& slot = cols_[attr - 1][row];
     if (watched_ && slot != value) NoteWrite(row, attr);
@@ -128,11 +128,13 @@ class EnvironmentTable {
   int32_t RemoveIf(const std::function<bool(RowId)>& pred);
 
   /// Deep copy (used by the equivalence test harness). The copy never
-  /// inherits the delta listener: a listener observes exactly one live
-  /// table, and clones are scratch copies by construction.
+  /// inherits the delta listener or the storage window: a listener
+  /// observes exactly one live table, and clones are scratch copies by
+  /// construction.
   EnvironmentTable Clone() const {
     EnvironmentTable copy = *this;
     copy.listener_ = nullptr;
+    copy.storage_changes_ = TableChanges();
     copy.watched_ = copy.tracking_;
     return copy;
   }
@@ -165,14 +167,20 @@ class EnvironmentTable {
     if (tracking_) changes_.structural = true;
   }
 
-  // --- delta listener (the storage layer's WAL feed) ----------------------
+  // --- delta listener and storage window (the storage layer's feed) ------
 
   /// Attach (or with nullptr detach) the table's single delta listener.
-  void SetDeltaListener(TableDeltaListener* listener) {
-    listener_ = listener;
-    watched_ = tracking_ || listener_ != nullptr;
-  }
+  /// Either way the storage window restarts empty; it stays open while a
+  /// listener is attached.
+  void SetDeltaListener(TableDeltaListener* listener);
   TableDeltaListener* delta_listener() const { return listener_; }
+
+  /// Cell writes since the last ClearStorageChanges() (empty with no
+  /// listener). Unlike changes(), the engine's tick never clears it: it
+  /// spans inlet drains and writes made between ticks until storage has
+  /// logged or checkpointed them.
+  const TableChanges& storage_changes() const { return storage_changes_; }
+  void ClearStorageChanges() { Clear(&storage_changes_); }
 
   /// The next auto-assigned key. Exposed so durable storage can carry it
   /// through checkpoints: RemoveIf never lowers it, so rebuilding a table
@@ -181,11 +189,22 @@ class EnvironmentTable {
   void SetNextKey(int64_t next_key) { next_key_ = next_key; }
 
  private:
-  void NoteDirty(RowId row, AttrId attr);
+  static void Mark(TableChanges* window, RowId row, AttrId attr) {
+    uint64_t& mask = window->masks[row];
+    if (mask == 0) window->dirty_rows.push_back(row);
+    mask |= TableChanges::BitOf(attr);
+  }
+  static void Clear(TableChanges* window);
 
-  /// Slow path of Set for a value-changing write: dirty-mark and/or
-  /// notify the listener, whichever of the two is active.
-  void NoteWrite(RowId row, AttrId attr);
+  /// RemoveIf's epilogue for an open window whose surviving masks were
+  /// already moved down with their rows: drop the tail, relist dirty rows.
+  static void Compact(TableChanges* window, RowId num_rows);
+
+  /// Slow path of Set for a value-changing write: mark the open windows.
+  void NoteWrite(RowId row, AttrId attr) {
+    if (tracking_) Mark(&changes_, row, attr);
+    if (listener_ != nullptr) Mark(&storage_changes_, row, attr);
+  }
 
   Schema schema_;
   std::vector<int64_t> keys_;
@@ -195,7 +214,8 @@ class EnvironmentTable {
   bool tracking_ = false;
   bool watched_ = false;  // tracking_ || listener_ — the Set hot-path gate
   TableDeltaListener* listener_ = nullptr;
-  TableChanges changes_;
+  TableChanges changes_;          // adaptive window, open while tracking_
+  TableChanges storage_changes_;  // storage window, open while listener_
 };
 
 }  // namespace sgl

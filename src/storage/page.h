@@ -3,10 +3,11 @@
 //
 // A page is a fixed-size block: a 24-byte little-endian header followed
 // by the payload. Every multi-byte field is written byte-by-byte in
-// little-endian order — never a struct memcpy — so page files are
-// identical across platforms. The checksum (FNV-1a over the payload)
-// makes torn or bit-rotted pages detectable at read time; the page id in
-// the header catches misdirected writes.
+// little-endian order — never a struct memcpy, and runs of doubles only
+// through StoreDoublesLE — so page files are identical across
+// platforms. The checksum (FNV-1a over the payload) makes torn or
+// bit-rotted pages detectable at read time; the page id in the header
+// catches misdirected writes.
 #ifndef SGL_STORAGE_PAGE_H_
 #define SGL_STORAGE_PAGE_H_
 
@@ -61,6 +62,17 @@ inline double UnpackDouble(uint64_t bits) {
   double d = 0.0;
   std::memcpy(&d, &bits, sizeof(d));
   return d;
+}
+
+/// Store `n` doubles as consecutive 8-byte little-endian bit patterns —
+/// the layout of a column page's payload and of a WAL cell run. On a
+/// little-endian host that layout is the doubles' memory image.
+inline void StoreDoublesLE(uint8_t* dst, const double* src, size_t n) {
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+  if (n > 0) std::memcpy(dst, src, n * 8);
+#else
+  for (size_t i = 0; i < n; ++i) StoreLE(dst + i * 8, PackDouble(src[i]), 8);
+#endif
 }
 
 /// Fill `page` (page_size bytes; payload already in place after the

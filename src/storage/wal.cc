@@ -1,12 +1,12 @@
 #include "storage/wal.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "storage/page.h"
 
@@ -15,7 +15,7 @@ namespace storage {
 
 namespace {
 constexpr char kWalMagic[6] = {'S', 'G', 'L', 'W', 'A', 'L'};
-constexpr uint16_t kWalVersion = 1;
+constexpr uint16_t kWalVersion = 2;
 constexpr size_t kWalHeaderBytes = 16;
 constexpr size_t kWalFrameBytes = 13;  // u32 len + u8 type + u64 checksum
 }  // namespace
@@ -70,6 +70,7 @@ Status WalFile::Open(const std::string& path) {
 }
 
 Status WalFile::Reset(int64_t checkpoint_tick) {
+  image_ = std::string();
   if (::ftruncate(fd_, 0) != 0) {
     return Status::Internal("storage: cannot truncate WAL ", path_, ": ",
                             std::strerror(errno));
@@ -79,24 +80,24 @@ Status WalFile::Reset(int64_t checkpoint_tick) {
 
 Status WalFile::Append(WalRecordType type, const std::string& body,
                        int64_t* bytes) {
-  std::string frame;
-  frame.reserve(kWalFrameBytes + body.size());
-  WalAppendLE(&frame, body.size(), 4);
-  frame.push_back(static_cast<char>(type));
-  WalAppendLE(&frame,
-              Fnv1a(reinterpret_cast<const uint8_t*>(body.data()),
-                    body.size()),
-              8);
-  frame.append(body);
-  // One write() per record: the append either lands whole or becomes a
-  // short tail the reader drops — never an interleaved half-frame.
-  if (::pwrite(fd_, frame.data(), frame.size(),
-               ::lseek(fd_, 0, SEEK_END)) !=
-      static_cast<ssize_t>(frame.size())) {
+  uint8_t frame[kWalFrameBytes];
+  StoreLE(frame, body.size(), 4);
+  frame[4] = static_cast<uint8_t>(type);
+  StoreLE(frame + 5,
+          Fnv1a(reinterpret_cast<const uint8_t*>(body.data()), body.size()),
+          8);
+  // One write per record (frame and body gathered, not copied together):
+  // the append either lands whole or becomes a short tail the reader
+  // drops — never an interleaved half-frame.
+  iovec parts[2] = {{frame, kWalFrameBytes},
+                    {const_cast<char*>(body.data()), body.size()}};
+  const size_t total = kWalFrameBytes + body.size();
+  if (::pwritev(fd_, parts, 2, ::lseek(fd_, 0, SEEK_END)) !=
+      static_cast<ssize_t>(total)) {
     return Status::Internal("storage: WAL append failed on ", path_, ": ",
                             std::strerror(errno));
   }
-  if (bytes != nullptr) *bytes += static_cast<int64_t>(frame.size());
+  if (bytes != nullptr) *bytes += static_cast<int64_t>(total);
   return Status::OK();
 }
 
@@ -108,16 +109,27 @@ Status WalFile::Sync() {
   return Status::OK();
 }
 
-Status WalFile::ReadAll(std::vector<WalRecord>* out, bool* torn) const {
+Status WalFile::ReadAll(std::vector<WalRecord>* out, bool* torn) {
   *torn = false;
   out->clear();
-  std::ifstream in(path_, std::ios::binary);
-  if (!in.is_open()) {
-    return Status::Internal("storage: cannot reopen WAL ", path_);
+  struct stat sb;
+  if (::fstat(fd_, &sb) != 0) {
+    return Status::Internal("storage: cannot stat WAL ", path_, ": ",
+                            std::strerror(errno));
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string bytes = buf.str();
+  image_.resize(static_cast<size_t>(sb.st_size));
+  size_t got = 0;
+  while (got < image_.size()) {
+    const ssize_t n = ::pread(fd_, &image_[got], image_.size() - got,
+                              static_cast<off_t>(got));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      return Status::Internal("storage: cannot read WAL ", path_, ": ",
+                              n < 0 ? std::strerror(errno) : "short read");
+    }
+    got += static_cast<size_t>(n);
+  }
+  const std::string_view bytes(image_);
   if (bytes.size() < kWalHeaderBytes) {
     return Status::Invalid("storage: WAL ", path_, " lost its header");
   }
@@ -140,8 +152,8 @@ Status WalFile::ReadAll(std::vector<WalRecord>* out, bool* torn) const {
                              " record at byte ", pos,
                              " failed its checksum (corrupt log)");
     }
-    out->push_back(WalRecord{
-        type, bytes.substr(pos + kWalFrameBytes, len)});
+    out->push_back(
+        WalRecord{type, bytes.substr(pos + kWalFrameBytes, len)});
     pos += kWalFrameBytes + len;
   }
   return Status::OK();

@@ -10,8 +10,8 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <sstream>
+#include <string_view>
 #include <unordered_set>
 #include <utility>
 
@@ -105,14 +105,14 @@ namespace {
 constexpr char kManifestFile[] = "/MANIFEST.sgl";
 constexpr char kManifestMagic[6] = {'S', 'G', 'L', 'M', 'A', 'N'};
 constexpr uint16_t kManifestVersion = 1;
-// One CellDeltas entry: u64 key, u32 attr, u64 value bits.
-constexpr uint64_t kCellDeltaBytes = 20;
+// A CellDeltas run header: u32 first row, u32 row count, u64 attr mask.
+constexpr size_t kCellRunHeaderBytes = 16;
 
 /// Bounds-checked little-endian cursor over a record body or manifest.
 class ByteReader {
  public:
   ByteReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
-  explicit ByteReader(const std::string& bytes)
+  explicit ByteReader(std::string_view bytes)
       : ByteReader(reinterpret_cast<const uint8_t*>(bytes.data()),
                    bytes.size()) {}
 
@@ -167,7 +167,10 @@ Result<std::unique_ptr<WorldStore>> WorldStore::Open(
   std::unique_ptr<WorldStore> store(new WorldStore(config));
   SGL_RETURN_NOT_OK(
       store->file_.Open(config.path + "/pages.sgl", config.page_size));
-  SGL_RETURN_NOT_OK(store->wal_.Open(config.path + "/wal.sgl"));
+  store->wal_refusal_ = store->wal_.Open(config.path + "/wal.sgl");
+  if (!store->wal_refusal_.ok() && !store->wal_.is_open()) {
+    return store->wal_refusal_;
+  }
   store->pool_ = std::make_unique<BufferPool>(&store->file_, config.page_size,
                                               config.pool_pages);
   store->manifest_path_ = config.path + kManifestFile;
@@ -207,10 +210,6 @@ void WorldStore::ExpandMask(uint64_t mask, std::vector<AttrId>* out) const {
 
 // --- TableDeltaListener ----------------------------------------------------
 
-void WorldStore::OnCellWrite(int64_t key, AttrId attr) {
-  cells_[key] |= TableChanges::BitOf(attr);
-}
-
 void WorldStore::OnAddRow(int64_t key, RowId row,
                           const std::vector<double>& values) {
   StructOp op;
@@ -219,7 +218,7 @@ void WorldStore::OnAddRow(int64_t key, RowId row,
   op.values = values;
   ops_.push_back(std::move(op));
   // The structural rewrite re-pages every row from `row` up, so the new
-  // row's cells need no cells_ entries.
+  // row's cells need no page writes of their own.
   if (struct_min_ < 0 || row < struct_min_) struct_min_ = row;
 }
 
@@ -232,15 +231,25 @@ void WorldStore::OnRemoveRows(RowId first_row,
   if (struct_min_ < 0 || first_row < struct_min_) struct_min_ = first_row;
 }
 
-// --- page-cache maintenance ------------------------------------------------
-
-Status WorldStore::WriteCell(RowId row, int32_t slot, uint64_t bits) {
-  SGL_ASSIGN_OR_RETURN(auto pinned, pool_->Pin(PageOf(row, slot),
-                                               /*create=*/false));
-  StoreLE(pinned.payload + CellOffset(row), bits, 8);
-  pool_->Unpin(pinned, /*dirty=*/true);
-  return Status::OK();
+std::vector<WorldStore::CellRun> WorldStore::DirtyRuns(
+    const TableChanges& window) {
+  // One pass over the masks in row order: they are one word per row, and
+  // a tick that moves or hits most units dirties most of them anyway.
+  std::vector<CellRun> runs;
+  for (size_t r = 0; r < window.masks.size(); ++r) {
+    const uint64_t mask = window.masks[r];
+    if (mask == 0) continue;
+    const RowId row = static_cast<RowId>(r);
+    if (runs.empty() || runs.back().end != row) {
+      runs.push_back(CellRun{row, row, 0});
+    }
+    runs.back().end = row + 1;
+    runs.back().mask |= mask;
+  }
+  return runs;
 }
+
+// --- page-cache maintenance ------------------------------------------------
 
 Status WorldStore::RewriteRows(const EnvironmentTable& table, RowId from_row) {
   const RowId n = table.NumRows();
@@ -254,11 +263,14 @@ Status WorldStore::RewriteRows(const EnvironmentTable& table, RowId from_row) {
       // fresh zeroed frame beats a disk read even for existing pages.
       SGL_ASSIGN_OR_RETURN(
           auto pinned, pool_->Pin(chunk * num_slots_ + slot, /*create=*/true));
-      for (RowId r = begin; r < end; ++r) {
-        const uint64_t bits =
-            slot == 0 ? static_cast<uint64_t>(table.KeyAt(r))
-                      : PackDouble(table.Get(r, slot));
-        StoreLE(pinned.payload + CellOffset(r), bits, 8);
+      if (slot == 0) {
+        for (RowId r = begin; r < end; ++r) {
+          StoreLE(pinned.payload + CellOffset(r),
+                  static_cast<uint64_t>(table.KeyAt(r)), 8);
+        }
+      } else {
+        StoreDoublesLE(pinned.payload, table.Column(slot).data() + begin,
+                       static_cast<size_t>(end - begin));
       }
       pool_->Unpin(pinned, /*dirty=*/true);
     }
@@ -266,26 +278,37 @@ Status WorldStore::RewriteRows(const EnvironmentTable& table, RowId from_row) {
   return Status::OK();
 }
 
-Status WorldStore::FlushPoolDeltas(const EnvironmentTable& table) {
+Status WorldStore::FlushPoolDeltas(const EnvironmentTable& table,
+                                   const std::vector<CellRun>& runs) {
   ops_.clear();  // already logged by CommitTick, or in the checkpoint image
-  if (struct_min_ < 0 && cells_.empty()) return Status::OK();
+  if (struct_min_ < 0 && runs.empty()) return Status::OK();
   if (num_slots_ == 0) SetLayout(table.schema());
-  RowId rewritten_from = std::numeric_limits<RowId>::max();
+  RowId rewritten_from = table.NumRows();
   if (struct_min_ >= 0) {
     rewritten_from = struct_min_;
     SGL_RETURN_NOT_OK(RewriteRows(table, struct_min_));
   }
+  // Rows from `rewritten_from` up are already on their pages. Below it,
+  // each run stores one slice per (chunk, attribute) page it touches.
   std::vector<AttrId> attrs;
-  for (const auto& entry : cells_) {
-    const RowId row = table.RowOf(entry.first);
-    // Removed keys and rewritten rows are already on their pages.
-    if (row < 0 || row >= rewritten_from) continue;
-    ExpandMask(entry.second, &attrs);
-    for (AttrId a : attrs) {
-      SGL_RETURN_NOT_OK(WriteCell(row, a, PackDouble(table.Get(row, a))));
+  for (const CellRun& run : runs) {
+    const RowId end = std::min(run.end, rewritten_from);
+    if (run.begin >= end) continue;
+    ExpandMask(run.mask, &attrs);
+    for (RowId lo = run.begin; lo < end;) {
+      const RowId chunk = lo / rows_per_page_;
+      const RowId hi = std::min(end, (chunk + 1) * rows_per_page_);
+      for (AttrId a : attrs) {
+        SGL_ASSIGN_OR_RETURN(auto pinned,
+                             pool_->Pin(PageOf(lo, a), /*create=*/false));
+        StoreDoublesLE(pinned.payload + CellOffset(lo),
+                       table.Column(a).data() + lo,
+                       static_cast<size_t>(hi - lo));
+        pool_->Unpin(pinned, /*dirty=*/true);
+      }
+      lo = hi;
     }
   }
-  cells_.clear();
   struct_min_ = -1;
   return Status::OK();
 }
@@ -301,6 +324,7 @@ Status WorldStore::CommitTick(const EnvironmentTable& table, int64_t tick) {
         "ticking");
   }
   if (num_slots_ == 0) SetLayout(table.schema());
+  const std::vector<CellRun> runs = DirtyRuns(table.storage_changes());
   if (config_.wal) {
     int64_t bytes = 0;
     int64_t records = 0;
@@ -325,25 +349,31 @@ Status WorldStore::CommitTick(const EnvironmentTable& table, int64_t tick) {
       }
       ++records;
     }
-    // One CellDeltas record: the final value of every surviving cell the
-    // tick dirtied, sorted by key (cells_ is an ordered map).
-    std::string cells;
-    uint32_t count = 0;
-    std::vector<AttrId> attrs;
-    for (const auto& entry : cells_) {
-      const RowId row = table.RowOf(entry.first);
-      if (row < 0) continue;  // written then removed within the tick
-      ExpandMask(entry.second, &attrs);
-      for (AttrId a : attrs) {
-        WalAppendLE(&cells, static_cast<uint64_t>(entry.first), 8);
-        WalAppendLE(&cells, static_cast<uint64_t>(a), 4);
-        WalAppendLE(&cells, PackDouble(table.Get(row, a)), 8);
-        ++count;
+    // One CellDeltas record: per run, its row range and mask, then each
+    // masked attribute's final values, contiguous (layout in wal.h).
+    std::vector<std::vector<AttrId>> run_attrs(runs.size());
+    size_t size = 4;
+    for (size_t i = 0; i < runs.size(); ++i) {
+      ExpandMask(runs[i].mask, &run_attrs[i]);
+      const size_t n = static_cast<size_t>(runs[i].end - runs[i].begin);
+      size += kCellRunHeaderBytes + run_attrs[i].size() * n * 8;
+    }
+    body.assign(size, '\0');
+    uint8_t* out = reinterpret_cast<uint8_t*>(&body[0]);
+    StoreLE(out, runs.size(), 4);
+    out += 4;
+    for (size_t i = 0; i < runs.size(); ++i) {
+      const CellRun& run = runs[i];
+      const size_t n = static_cast<size_t>(run.end - run.begin);
+      StoreLE(out, static_cast<uint64_t>(run.begin), 4);
+      StoreLE(out + 4, n, 4);
+      StoreLE(out + 8, run.mask, 8);
+      out += kCellRunHeaderBytes;
+      for (AttrId a : run_attrs[i]) {
+        StoreDoublesLE(out, table.Column(a).data() + run.begin, n);
+        out += n * 8;
       }
     }
-    body.clear();
-    WalAppendLE(&body, count, 4);
-    body.append(cells);
     SGL_RETURN_NOT_OK(wal_.Append(WalRecordType::kCellDeltas, body, &bytes));
     ++records;
     body.clear();
@@ -355,10 +385,11 @@ Status WorldStore::CommitTick(const EnvironmentTable& table, int64_t tick) {
     if (wal_bytes_ != nullptr) wal_bytes_->Add(bytes);
     if (wal_records_ != nullptr) wal_records_->Add(records);
   }
-  SGL_RETURN_NOT_OK(FlushPoolDeltas(table));
+  SGL_RETURN_NOT_OK(FlushPoolDeltas(table, runs));
   if (config_.checkpoint_every > 0 &&
       (tick + 1) % config_.checkpoint_every == 0) {
-    SGL_RETURN_NOT_OK(Checkpoint(table, tick + 1));
+    // The pool already holds this tick's writes.
+    SGL_RETURN_NOT_OK(Publish(table, tick + 1));
   }
   return Status::OK();
 }
@@ -369,27 +400,32 @@ Status WorldStore::Checkpoint(const EnvironmentTable& table, int64_t tick) {
   if (num_slots_ == 0) SetLayout(table.schema());
   if (!synced_) {
     // First checkpoint into this directory (or an explicit overwrite of
-    // an unrestored world): drop stale deltas, write a full image. An
-    // image already published here must survive until the new manifest
-    // replaces it, so the writes go to the slots its manifest does not
-    // commit. A manifest that cannot be read protects nothing.
+    // an unrestored world): write a full image. An image already
+    // published here must survive until the new manifest replaces it, so
+    // the writes go to the slots its manifest does not commit. A
+    // manifest that cannot be read protects nothing.
     if (has_world_) {
       Result<Manifest> old = ReadManifest();
       if (old.ok()) pool_->LoadCommittedBits(std::move(old->committed));
     }
-    cells_.clear();
     struct_min_ = 0;
     synced_ = true;
   }
   // Deltas since the last commit go to the pages only: the image this
   // checkpoint publishes holds them, so no later WAL tick replays them.
-  SGL_RETURN_NOT_OK(FlushPoolDeltas(table));
+  SGL_RETURN_NOT_OK(
+      FlushPoolDeltas(table, DirtyRuns(table.storage_changes())));
+  return Publish(table, tick);
+}
+
+Status WorldStore::Publish(const EnvironmentTable& table, int64_t tick) {
   SGL_RETURN_NOT_OK(pool_->FlushDirty(nullptr));
   SGL_RETURN_NOT_OK(file_.Sync());
   if (fsyncs_ != nullptr) fsyncs_->Add(1);
   pool_->PromoteScratch();
   SGL_RETURN_NOT_OK(WriteManifest(table, tick));
   SGL_RETURN_NOT_OK(wal_.Reset(tick));
+  wal_refusal_ = Status::OK();
   SGL_RETURN_NOT_OK(wal_.Sync());
   if (fsyncs_ != nullptr) fsyncs_->Add(1);
   if (checkpoints_ != nullptr) checkpoints_->Add(1);
@@ -571,6 +607,7 @@ Result<RecoveredWorld> WorldStore::Replay(int64_t target) {
   int64_t state = m.tick;
 
   if (target != m.tick) {
+    SGL_RETURN_NOT_OK(wal_refusal_);
     if (wal_.checkpoint_tick() != m.tick) {
       return Status::Invalid("storage: WAL covers ticks from ",
                              wal_.checkpoint_tick(),
@@ -580,6 +617,12 @@ Result<RecoveredWorld> WorldStore::Replay(int64_t target) {
     std::vector<WalRecord> records;
     bool torn = false;
     SGL_RETURN_NOT_OK(wal_.ReadAll(&records, &torn));
+    // The TableChanges bits a cell run may name: attributes 1..k.
+    uint64_t schema_mask = 0;
+    for (AttrId a = 1; a < num_slots_; ++a) {
+      schema_mask |= TableChanges::BitOf(a);
+    }
+    std::vector<AttrId> attrs;
     size_t i = 0;
     while (i < records.size() && (target < 0 || state < target)) {
       if (records[i].type != WalRecordType::kTickBegin) {
@@ -640,29 +683,38 @@ Result<RecoveredWorld> WorldStore::Replay(int64_t target) {
             break;
           }
           case WalRecordType::kCellDeltas: {
-            // The replay's hot loop: bounds-check the fixed-size cells
-            // once per record, then decode them in place.
-            uint64_t count = 0;
-            SGL_RETURN_NOT_OK(body.Read(&count, 4));
-            const uint8_t* cell = nullptr;
-            SGL_RETURN_NOT_OK(body.Take(count * kCellDeltaBytes, &cell));
-            for (uint64_t c = 0; c < count; ++c, cell += kCellDeltaBytes) {
-              const uint64_t key = LoadLE(cell, 8);
-              const uint64_t attr = LoadLE(cell + 8, 4);
-              const RowId row = table.RowOf(static_cast<int64_t>(key));
-              if (row < 0) {
-                return Status::Internal(
-                    "storage: WAL replay diverged (cell delta for unknown "
-                    "key ",
-                    key, " at tick ", t, ")");
+            // The replay's hot loop: bounds-check each run once, then
+            // decode its columns in place.
+            uint64_t num_runs = 0;
+            SGL_RETURN_NOT_OK(body.Read(&num_runs, 4));
+            for (uint64_t run = 0; run < num_runs; ++run) {
+              uint64_t first = 0;
+              uint64_t count = 0;
+              uint64_t mask = 0;
+              SGL_RETURN_NOT_OK(body.Read(&first, 4));
+              SGL_RETURN_NOT_OK(body.Read(&count, 4));
+              SGL_RETURN_NOT_OK(body.Read(&mask, 8));
+              if (first + count > static_cast<uint64_t>(table.NumRows())) {
+                return Status::Invalid(
+                    "storage: WAL cell run at tick ", t, " covers rows ",
+                    first, "..", first + count, " but the table has ",
+                    table.NumRows(), " rows");
               }
-              if (attr == 0 || attr >= static_cast<uint64_t>(num_slots_)) {
-                return Status::Invalid("storage: WAL cell delta at tick ", t,
-                                       " names attribute ", attr,
-                                       " outside the schema");
+              if ((mask & ~schema_mask) != 0) {
+                return Status::Invalid("storage: WAL cell run at tick ", t,
+                                       " names attributes outside the "
+                                       "schema (mask ",
+                                       mask & ~schema_mask, ")");
               }
-              table.Set(row, static_cast<AttrId>(attr),
-                        UnpackDouble(LoadLE(cell + 12, 8)));
+              ExpandMask(mask, &attrs);
+              for (AttrId a : attrs) {
+                const uint8_t* src = nullptr;
+                SGL_RETURN_NOT_OK(body.Take(count * 8, &src));
+                for (uint64_t c = 0; c < count; ++c) {
+                  table.Set(static_cast<RowId>(first + c), a,
+                            UnpackDouble(LoadLE(src + c * 8, 8)));
+                }
+              }
             }
             break;
           }
@@ -709,7 +761,6 @@ Result<RecoveredWorld> WorldStore::Replay(int64_t target) {
 void WorldStore::MarkWorldInstalled() {
   synced_ = true;
   ops_.clear();
-  cells_.clear();
   // Cached pages hold checkpoint-state bytes; the WAL replay that built
   // the installed table never touched them. Resync from row 0.
   struct_min_ = 0;

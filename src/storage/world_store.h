@@ -15,15 +15,20 @@
 // a holds attribute a. Cells are 8 bytes (raw IEEE-754 bits for attrs),
 // so every table value round-trips exactly.
 //
-// The store listens to the live table (TableDeltaListener) and keeps
-// one delta accumulator: the changed cells (unit key -> attr mask), the
-// structural ops in occurrence order, and the lowest structurally
-// rewritten row. CommitTick appends it to the WAL as one tick record
-// (a CellDeltas record holds the final end-of-tick values), writes the
-// same cells to the page cache, and clears it. Checkpoint writes it to
-// the page cache and clears it without logging: the checkpoint image
-// already holds those writes, so writes made between ticks never reach
-// the next tick's WAL record.
+// The store reads the live table's storage change window
+// (EnvironmentTable::storage_changes(): one attribute mask per row plus
+// the dirty rows, open while the store is the table's delta listener)
+// and itself keeps the structural ops (TableDeltaListener) in occurrence
+// order plus the lowest structurally rewritten row. CommitTick groups
+// the window's dirty rows into runs of consecutive rows and appends one
+// tick record to the WAL: the structural ops, then one column-major
+// CellDeltas record holding each run's final end-of-tick values (layout
+// in wal.h). It writes the same runs to the page cache, pinning each
+// touched (chunk, attribute) page once. Checkpoint writes them to the
+// page cache without logging: the checkpoint image already holds those
+// writes, so writes made between ticks never reach the next tick's WAL
+// record. After either call the table's owner clears the window
+// (ClearStorageChanges); the engine's tick never does.
 //
 // Checkpoint = flush dirty frames to scratch slots, fsync, promote the
 // scratch slots, publish the manifest (WriteFileAtomically), truncate
@@ -37,7 +42,6 @@
 #define SGL_STORAGE_WORLD_STORE_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -98,7 +102,8 @@ class WorldStore : public TableDeltaListener {
 
   /// End-of-tick hook: append tick `tick`'s delta records to the WAL,
   /// sync the page cache with the table, and auto-checkpoint when
-  /// checkpoint_every divides the new state tick.
+  /// checkpoint_every divides the new state tick. The caller then clears
+  /// the table's storage window, as after a Checkpoint of its live table.
   Status CommitTick(const EnvironmentTable& table, int64_t tick);
 
   /// Rebuild the latest durable state: checkpoint image + full WAL
@@ -115,7 +120,6 @@ class WorldStore : public TableDeltaListener {
   void MarkWorldInstalled();
 
   // TableDeltaListener — fed by the live table; driver thread only.
-  void OnCellWrite(int64_t key, AttrId attr) override;
   void OnAddRow(int64_t key, RowId row,
                 const std::vector<double>& values) override;
   void OnRemoveRows(RowId first_row, const std::vector<int64_t>& keys) override;
@@ -129,7 +133,18 @@ class WorldStore : public TableDeltaListener {
     std::vector<int64_t> keys;    // remove
   };
 
+  /// Consecutive dirty rows [begin, end) of the storage window and the
+  /// union of their attribute masks.
+  struct CellRun {
+    RowId begin = 0;
+    RowId end = 0;
+    uint64_t mask = 0;
+  };
+
   explicit WorldStore(StorageConfig config) : config_(std::move(config)) {}
+
+  /// The storage window's dirty rows as ascending runs.
+  static std::vector<CellRun> DirtyRuns(const TableChanges& window);
 
   void SetLayout(const Schema& schema);
   PageId PageOf(RowId row, int32_t slot) const {
@@ -141,15 +156,18 @@ class WorldStore : public TableDeltaListener {
   /// (bit min(a, 63); bit 63 is coarse and expands to all attrs >= 63).
   void ExpandMask(uint64_t mask, std::vector<AttrId>* out) const;
 
-  /// Write one cell through the pool (page must already exist).
-  Status WriteCell(RowId row, int32_t slot, uint64_t bits);
-
   /// Rewrite every page covering rows >= from_row from `table`.
   Status RewriteRows(const EnvironmentTable& table, RowId from_row);
 
-  /// Bring cached pages up to date with `table` from the delta
-  /// accumulator, then clear it.
-  Status FlushPoolDeltas(const EnvironmentTable& table);
+  /// Bring cached pages up to date with `table`: rewrite from the lowest
+  /// structurally touched row, store `runs` below it, and forget the
+  /// structural ops.
+  Status FlushPoolDeltas(const EnvironmentTable& table,
+                         const std::vector<CellRun>& runs);
+
+  /// Checkpoint's tail, once the pool matches `table`: flush, fsync,
+  /// promote, publish the manifest, truncate the WAL.
+  Status Publish(const EnvironmentTable& table, int64_t tick);
 
   Status WriteManifest(const EnvironmentTable& table, int64_t tick);
   struct Manifest {
@@ -174,10 +192,13 @@ class WorldStore : public TableDeltaListener {
   int32_t rows_per_page_ = 0;  // (page_size - header) / 8
   bool has_world_ = false;
   bool synced_ = false;
+  // Why the WAL found at Open cannot be read (another version, a bad
+  // header): replay fails with it, and the next checkpoint, which
+  // truncates the log, clears it.
+  Status wal_refusal_;
 
-  // Delta accumulator since the last CommitTick or Checkpoint (cleared
-  // by FlushPoolDeltas).
-  std::map<int64_t, uint64_t> cells_;  // key -> changed-attr mask
+  // Structural ops since the last CommitTick or Checkpoint (cleared by
+  // FlushPoolDeltas); the cell writes are the table's storage window.
   std::vector<StructOp> ops_;
   RowId struct_min_ = -1;  // lowest structurally-affected row; -1 = none
 

@@ -2,6 +2,8 @@
 // algebraic laws of the combination operator ⊕ (Section 4.2, Eq. (3)).
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "env/delta.h"
 #include "env/effect_buffer.h"
 #include "env/schema.h"
@@ -152,6 +154,95 @@ TEST(Table, ResetEffectsZeroesEffectColumns) {
   EXPECT_EQ(0.0, t.Get(0, t.schema().Find("inaura")));
   EXPECT_EQ(0.0, t.Get(0, t.schema().Find("setspeed")));
   EXPECT_EQ(100.0, t.Get(0, t.schema().Find("health")));  // state untouched
+}
+
+// ------------------------------------------------------- storage window
+
+/// A delta listener that ignores its callbacks: attaching one opens the
+/// table's storage window, which is what these tests observe.
+class NullListener : public TableDeltaListener {
+ public:
+  void OnAddRow(int64_t, RowId, const std::vector<double>&) override {}
+  void OnRemoveRows(RowId, const std::vector<int64_t>&) override {}
+};
+
+/// Four units (keys 0..3, posx = key) with the storage window open.
+EnvironmentTable WatchedTable(NullListener* listener) {
+  EnvironmentTable t(BattleSchema());
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_TRUE(t.AddRow({0, double(i), 0, 100, 0, 0, 0}).ok());
+  }
+  t.SetDeltaListener(listener);
+  return t;
+}
+
+TEST(StorageWindow, MaskMovesWithItsRowWhenAnEarlierRowIsRemoved) {
+  NullListener listener;
+  EnvironmentTable t = WatchedTable(&listener);
+  const AttrId health = t.schema().Find("health");
+  t.Set(2, health, 50);
+  EXPECT_EQ(1, t.RemoveIf([](RowId r) { return r == 0; }));
+  const TableChanges& window = t.storage_changes();
+  ASSERT_EQ(std::vector<RowId>{1}, window.dirty_rows);  // key 2 is row 1 now
+  EXPECT_EQ(2, t.KeyAt(1));
+  EXPECT_EQ(TableChanges::BitOf(health), window.attr_mask(1));
+  EXPECT_EQ(0u, window.attr_mask(0));
+  EXPECT_EQ(0u, window.attr_mask(2));
+  EXPECT_EQ(3u, window.masks.size());
+}
+
+TEST(StorageWindow, RowWrittenThenRemovedLeavesNoMask) {
+  NullListener listener;
+  EnvironmentTable t = WatchedTable(&listener);
+  t.Set(1, t.schema().Find("posx"), 9);
+  t.RemoveIf([](RowId r) { return r == 1; });
+  EXPECT_TRUE(t.storage_changes().dirty_rows.empty());
+  for (RowId r = 0; r < t.NumRows(); ++r) {
+    EXPECT_EQ(0u, t.storage_changes().attr_mask(r)) << "row " << r;
+  }
+}
+
+TEST(StorageWindow, AddRowAfterWritesKeepsTheirMasks) {
+  NullListener listener;
+  EnvironmentTable t = WatchedTable(&listener);
+  const AttrId posx = t.schema().Find("posx");
+  t.Set(3, posx, 30);
+  ASSERT_TRUE(t.AddRow({1, 5, 5, 100, 0, 0, 0}).ok());
+  const TableChanges& window = t.storage_changes();
+  EXPECT_EQ(5u, window.masks.size());
+  EXPECT_EQ(TableChanges::BitOf(posx), window.attr_mask(3));
+  EXPECT_EQ(0u, window.attr_mask(4));
+  t.Set(4, posx, 6);
+  EXPECT_EQ((std::vector<RowId>{3, 4}), window.dirty_rows);
+}
+
+TEST(StorageWindow, AdaptiveClearLeavesItIntact) {
+  NullListener listener;
+  EnvironmentTable t = WatchedTable(&listener);
+  t.EnableChangeTracking();
+  const AttrId health = t.schema().Find("health");
+  t.Set(0, health, 1);
+  t.ClearChanges();
+  EXPECT_TRUE(t.changes().dirty_rows.empty());
+  ASSERT_EQ(std::vector<RowId>{0}, t.storage_changes().dirty_rows);
+  EXPECT_EQ(TableChanges::BitOf(health), t.storage_changes().attr_mask(0));
+  t.ClearStorageChanges();
+  EXPECT_TRUE(t.storage_changes().dirty_rows.empty());
+  EXPECT_EQ(0u, t.storage_changes().attr_mask(0));
+}
+
+TEST(StorageWindow, CloneDropsIt) {
+  NullListener listener;
+  EnvironmentTable t = WatchedTable(&listener);
+  const AttrId posy = t.schema().Find("posy");
+  t.Set(1, posy, 4);
+  EnvironmentTable copy = t.Clone();
+  EXPECT_EQ(nullptr, copy.delta_listener());
+  EXPECT_TRUE(copy.storage_changes().dirty_rows.empty());
+  EXPECT_TRUE(copy.storage_changes().masks.empty());
+  copy.Set(2, posy, 8);  // no window, nothing recorded
+  EXPECT_TRUE(copy.storage_changes().dirty_rows.empty());
+  EXPECT_EQ(std::vector<RowId>{1}, t.storage_changes().dirty_rows);
 }
 
 // ----------------------------------------------------------- EffectBuffer

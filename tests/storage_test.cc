@@ -8,18 +8,21 @@
 //    continues bit-identically to a run that was never interrupted.
 //    Table edits made between ticks (AddRow, Set) survive a checkpoint
 //    and the WAL ticks after it.
-//  * Corruption: a flipped page byte, a flipped WAL byte or a WAL cell
-//    naming an attribute outside the schema is refused with
-//    kInvalidArgument; a torn WAL tail (truncation) silently drops the
-//    partial tick and recovers to the last committed one.
+//  * Corruption: a flipped page byte, a flipped WAL byte, a log of
+//    another WAL version, or a WAL cell run naming an attribute outside
+//    the schema or rows past the table is refused with kInvalidArgument;
+//    a torn WAL tail (truncation) silently drops the partial tick and
+//    recovers to the last committed one.
 //  * Out-of-core: a pool capped far below the table size completes a
 //    100-tick scenario through eviction, still bit-exact.
 //  * Time travel: Materialize/RestoreFrom(dir, tick) rebuilds any
 //    logged tick; re-running from it reproduces the original future.
+//  * Tracing: each tick's commit is one storage.commit span inside it.
 //  * Checkpoints outside the storage path: the same store format, a
 //    bit-exact round trip, a corrupt manifest refused, an overwrite that
-//    leaves the published image intact until its manifest lands, and a
-//    stale inlet temp file ignored.
+//    leaves the published image intact until its manifest lands, a
+//    stale inlet temp file ignored, and a log of another WAL version
+//    refused on restore but replaced by a checkpoint.
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
@@ -37,6 +40,7 @@
 #include <vector>
 
 #include "engine/simulation.h"
+#include "obs/trace.h"
 #include "scenario/scenario.h"
 #include "storage/buffer_pool.h"
 #include "storage/page.h"
@@ -212,6 +216,26 @@ TEST(WalFileTest, AppendsReadsAndDistinguishesTornFromCorrupt) {
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(StatusCode::kInvalidArgument, st.code());
   EXPECT_NE(std::string::npos, st.ToString().find("checksum"));
+}
+
+TEST(WalFileTest, RefusesALogOfAnotherVersion) {
+  const std::string dir = FreshDir("wal_v1_unit");
+  ASSERT_TRUE(storage::MakeDirs(dir).ok());
+  const std::string path = dir + "/wal.sgl";
+  {
+    // A version-1 header: magic, u16 version, u64 checkpoint tick.
+    std::string header = "SGLWAL";
+    storage::WalAppendLE(&header, 1, 2);
+    storage::WalAppendLE(&header, 0, 8);
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(header.data(), static_cast<std::streamsize>(header.size()));
+  }
+  WalFile wal;
+  Status st = wal.Open(path);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(StatusCode::kInvalidArgument, st.code());
+  EXPECT_NE(std::string::npos, st.ToString().find("unsupported version 1"))
+      << st.ToString();
 }
 
 // ------------------------------------------------------------- validation
@@ -433,46 +457,101 @@ TEST(StorageRecoveryTest, TornWalTailRecoversToLastCommittedTick) {
   EXPECT_EQ(StatusCode::kInvalidArgument, st.code());
 }
 
-TEST(StorageRecoveryTest, WalCellOutsideTheSchemaIsRefused) {
-  const std::string dir = FreshDir("bad_attr_world");
-  int64_t key = 0;
+/// Append one CellDeltas run: first row, row count, attr mask, values.
+void AppendCellRun(std::string* body, uint64_t first_row, uint64_t row_count,
+                   uint64_t mask, const std::vector<double>& values) {
+  storage::WalAppendLE(body, first_row, 4);
+  storage::WalAppendLE(body, row_count, 4);
+  storage::WalAppendLE(body, mask, 8);
+  for (double v : values) {
+    storage::WalAppendLE(body, storage::PackDouble(v), 8);
+  }
+}
+
+/// Checkpoint a battle world at tick 3, append one well-framed WAL tick
+/// whose CellDeltas record holds a single run that `make_run` writes for
+/// the checkpointed table, and return the recovery status.
+Status RecoverWithOneCellRun(
+    const std::string& name,
+    const std::function<void(const EnvironmentTable&, std::string*)>&
+        make_run) {
+  const std::string dir = FreshDir(name);
+  std::string run;
   int64_t next_key = 0;
   int32_t rows = 0;
   {
     auto sim = BuildScenario(
         "battle", StorageConfigFor(dir, EvaluatorMode::kIndexed, 1));
-    ASSERT_NE(nullptr, sim);
-    ASSERT_TRUE(sim->Run(3).ok());
-    ASSERT_TRUE(sim->Checkpoint(dir).ok());
-    key = sim->table().KeyAt(0);
+    if (sim == nullptr) return Status::Internal("build failed");
+    SGL_RETURN_NOT_OK(sim->Run(3));
+    SGL_RETURN_NOT_OK(sim->Checkpoint(dir));
+    make_run(sim->table(), &run);
     next_key = sim->table().next_key();
     rows = sim->table().NumRows();
   }
-  // A well-framed tick whose one cell delta names attribute 999.
   {
     WalFile wal;
-    ASSERT_TRUE(wal.Open(dir + "/wal.sgl").ok());
-    ASSERT_EQ(3, wal.checkpoint_tick());
+    SGL_RETURN_NOT_OK(wal.Open(dir + "/wal.sgl"));
+    EXPECT_EQ(3, wal.checkpoint_tick());
     std::string body;
     storage::WalAppendLE(&body, 3, 8);
-    ASSERT_TRUE(wal.Append(WalRecordType::kTickBegin, body, nullptr).ok());
+    SGL_RETURN_NOT_OK(wal.Append(WalRecordType::kTickBegin, body, nullptr));
     body.clear();
     storage::WalAppendLE(&body, 1, 4);
-    storage::WalAppendLE(&body, static_cast<uint64_t>(key), 8);
-    storage::WalAppendLE(&body, 999, 4);
-    storage::WalAppendLE(&body, storage::PackDouble(1.0), 8);
-    ASSERT_TRUE(wal.Append(WalRecordType::kCellDeltas, body, nullptr).ok());
+    body.append(run);
+    SGL_RETURN_NOT_OK(wal.Append(WalRecordType::kCellDeltas, body, nullptr));
     body.clear();
     storage::WalAppendLE(&body, 3, 8);
     storage::WalAppendLE(&body, static_cast<uint64_t>(next_key), 8);
     storage::WalAppendLE(&body, static_cast<uint64_t>(rows), 4);
-    ASSERT_TRUE(wal.Append(WalRecordType::kTickCommit, body, nullptr).ok());
+    SGL_RETURN_NOT_OK(wal.Append(WalRecordType::kTickCommit, body, nullptr));
   }
   auto store = WorldStore::Open(
       StorageConfigFor(dir, EvaluatorMode::kIndexed, 1).storage, nullptr);
-  ASSERT_TRUE(store.ok());
-  Status st = (*store)->Recover().status();
+  SGL_RETURN_NOT_OK(store.status());
+  return (*store)->Recover().status();
+}
+
+TEST(StorageRecoveryTest, WalCellOutsideTheSchemaIsRefused) {
+  // A well-framed tick whose one cell run names attribute 999 (the
+  // coarse bit 63: battle has far fewer attributes).
+  Status st = RecoverWithOneCellRun(
+      "bad_attr_world", [](const EnvironmentTable&, std::string* body) {
+        AppendCellRun(body, 0, 1, TableChanges::BitOf(999), {1.0});
+      });
   EXPECT_EQ(StatusCode::kInvalidArgument, st.code()) << st.ToString();
+}
+
+TEST(StorageRecoveryTest, WalCellRunPastTheRowCountIsRefused) {
+  // A run over the last row and the one after it.
+  Status st = RecoverWithOneCellRun(
+      "run_past_rows_world", [](const EnvironmentTable& t, std::string* body) {
+        const AttrId health = t.schema().Find("health");
+        ASSERT_NE(Schema::kInvalidAttr, health);
+        AppendCellRun(body, static_cast<uint64_t>(t.NumRows() - 1), 2,
+                      TableChanges::BitOf(health), {1.0, 2.0});
+      });
+  EXPECT_EQ(StatusCode::kInvalidArgument, st.code()) << st.ToString();
+  EXPECT_NE(std::string::npos, st.ToString().find("storage: WAL cell run"))
+      << st.ToString();
+}
+
+TEST(StorageRecoveryTest, WalCellRunMaskBitOutsideTheSchemaIsRefused) {
+  // The first bit past the last attribute, then the key's bit 0 (keys
+  // are never cell deltas).
+  for (bool key_bit : {false, true}) {
+    SCOPED_TRACE(key_bit ? "key bit" : "bit past the schema");
+    Status st = RecoverWithOneCellRun(
+        "mask_bit_world", [&](const EnvironmentTable& t, std::string* body) {
+          const uint64_t mask =
+              key_bit ? TableChanges::BitOf(kKeyAttrId)
+                      : TableChanges::BitOf(t.schema().NumAttrs());
+          AppendCellRun(body, 0, 1, mask, {1.0});
+        });
+    EXPECT_EQ(StatusCode::kInvalidArgument, st.code()) << st.ToString();
+    EXPECT_NE(std::string::npos, st.ToString().find("outside the schema"))
+        << st.ToString();
+  }
 }
 
 TEST(StorageRecoveryTest, CorruptPageIsRefused) {
@@ -643,6 +722,36 @@ TEST(StorageCheckpointTest, PlainDirRoundTripsAndReplaysBitExactly) {
       << twin->table().DiffString(sim->table());
 }
 
+TEST(StorageCheckpointTest, CheckpointReplacesALogOfAnotherVersion) {
+  auto sim = RunPlainBattle(4);
+  ASSERT_NE(nullptr, sim);
+  const std::string dir = FreshDir("old_wal_ckpt");
+  ASSERT_TRUE(sim->Checkpoint(dir).ok());
+  {
+    // Stamp the log with version 1, as an older build would leave it.
+    std::fstream f(dir + "/wal.sgl",
+                   std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(6);
+    const char v1[2] = {1, 0};
+    f.write(v1, 2);
+  }
+  // Replaying that log is refused, never misread...
+  SimulationConfig config;
+  config.eval_mode = EvaluatorMode::kIndexed;
+  auto twin = BuildScenario("battle", config);
+  ASSERT_NE(nullptr, twin);
+  Status st = twin->RestoreFrom(dir);
+  EXPECT_EQ(StatusCode::kInvalidArgument, st.code()) << st.ToString();
+  EXPECT_NE(std::string::npos, st.ToString().find("unsupported version 1"))
+      << st.ToString();
+  // ...and a checkpoint over the directory replaces it.
+  ASSERT_TRUE(sim->Checkpoint(dir).ok());
+  st = twin->RestoreFrom(dir);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_TRUE(twin->table().Equals(sim->table()))
+      << twin->table().DiffString(sim->table());
+}
+
 TEST(StorageCheckpointTest, CorruptManifestIsRefused) {
   auto sim = RunPlainBattle(3);
   ASSERT_NE(nullptr, sim);
@@ -717,6 +826,38 @@ TEST(StorageCheckpointTest, StaleTornInletTempIsIgnored) {
 }
 
 // -------------------------------------------------------- artifact dumps
+
+TEST(StorageTraceTest, EveryTickHasOneCommitSpanInsideIt) {
+  const std::string dir = FreshDir("traced_world");
+  SimulationConfig config = StorageConfigFor(dir, EvaluatorMode::kIndexed, 2,
+                                             /*checkpoint_every=*/4);
+  config.artifacts.trace_path = dir + "/trace.json";
+  auto sim = BuildScenario("epidemic", config);
+  ASSERT_NE(nullptr, sim);
+  const int64_t kTicks = 9;
+  ASSERT_TRUE(sim->Run(kTicks).ok());
+  ASSERT_TRUE(sim->WriteTrace(config.artifacts.trace_path).ok());
+
+  std::vector<obs::TraceEvent> ticks;
+  std::vector<obs::TraceEvent> commits;
+  for (const obs::TraceEvent& e : sim->tracer()->Collect()) {
+    if (e.tid != 0 || e.dur_ns < 0) continue;
+    if (e.name == "tick") ticks.push_back(e);
+    if (e.name == "storage.commit") commits.push_back(e);
+  }
+  ASSERT_EQ(static_cast<size_t>(kTicks), ticks.size());
+  ASSERT_EQ(ticks.size(), commits.size());
+  for (const obs::TraceEvent& tick : ticks) {
+    int inside = 0;
+    for (const obs::TraceEvent& c : commits) {
+      if (c.ts_ns >= tick.ts_ns &&
+          c.ts_ns + c.dur_ns <= tick.ts_ns + tick.dur_ns) {
+        ++inside;
+      }
+    }
+    EXPECT_EQ(1, inside) << "tick at ts " << tick.ts_ns;
+  }
+}
 
 TEST(DumpArtifactsTest, WritesTheConfiguredBundle) {
   const std::string dir = FreshDir("artifacts_bundle");
