@@ -699,8 +699,20 @@ Result<std::unique_ptr<Simulation>> SimulationBuilder::Build() {
     if (config_.compiled) {
       // Lower the decision logic to batch bytecode (src/vm/). The
       // compiler is conservative: a declined script simply keeps the
-      // interpreter, with the reason surfaced by Explain().
-      auto compiled = vm::CompileProgram(session.script);
+      // interpreter, with the reason surfaced by Explain(). When a
+      // provider answers the aggregates, each call site also computes
+      // its probe side, handed to the provider as batch columns.
+      std::vector<AggregateSignature> signatures;
+      if (session.interp->aggregate_provider() != nullptr) {
+        for (int32_t a = 0; a < static_cast<int32_t>(
+                                    session.script.program.aggregates.size());
+             ++a) {
+          SGL_ASSIGN_OR_RETURN(AggregateSignature sig,
+                               ExtractSignature(session.script, a));
+          signatures.push_back(std::move(sig));
+        }
+      }
+      auto compiled = vm::CompileProgram(session.script, signatures);
       if (compiled.ok()) {
         session.compiled = compiled.MoveValue();
       } else {

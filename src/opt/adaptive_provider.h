@@ -13,6 +13,13 @@
 //                tick's delta log (EnvironmentTable change tracking) to
 //                the existing trees as remove/insert overlays.
 //
+// Probing is inherited from the indexed evaluator, batch seam included:
+// a VM batch (EvalBatch) is answered from its probe-side columns by the
+// shared probe core on rebuilt and incremental families (delta overlays
+// are the trees' own business), and lane by lane through the reference
+// evaluator on scan-mode families. Either way each lane tallies one call
+// on its family, so the demand signal is the same as per-unit Eval's.
+//
 // The demand signal is the per-family probe tally observed on previous
 // ticks (exponentially weighted); the churn signal is the number of
 // dirty rows whose changed attributes intersect the family's build-side

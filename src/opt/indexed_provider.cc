@@ -9,6 +9,18 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr int64_t kNoExclude = std::numeric_limits<int64_t>::min();
+// Signature limits (ExtractSignature falls back to a scan beyond them).
+constexpr int32_t kMaxPartitions = 3;
+constexpr int32_t kMaxRanges = 2;
+
+/// Range bounds a signature's probe carries (present lower/upper bounds).
+int32_t NumBounds(const AggregateSignature& sig) {
+  int32_t n = 0;
+  for (const RangeDim& r : sig.ranges) {
+    n += (r.lo != nullptr) + (r.hi != nullptr);
+  }
+  return n;
+}
 
 /// Tighten a strict bound by one ulp: no double lies strictly between v
 /// and nextafter(v, dir), so closed-interval indexes serve < and > too.
@@ -327,70 +339,7 @@ Status IndexedAggregateProvider::BuildFamily(Family* family,
   return Status::OK();
 }
 
-Result<Rect> IndexedAggregateProvider::ProbeRect(
-    const AggregateSignature& sig, RowId u_row, const EnvironmentTable& table,
-    LocalStack* params, const TickRandom& rnd) const {
-  const AggregateDecl& decl = script_->program.aggregates[sig.agg_index];
-  const std::string* u_name = &decl.params[0];
-  Rect rect{-kInf, kInf, -kInf, kInf};
-  auto eval_bound = [&](const Expr* expr) -> Result<double> {
-    SGL_ASSIGN_OR_RETURN(
-        Value v, interp_->EvalExprIn(*expr, table, u_name, u_row, nullptr, -1,
-                                     params, rnd, table.KeyAt(u_row)));
-    if (!v.is_scalar()) {
-      return Status::ExecutionError("range bound must be scalar");
-    }
-    return v.scalar();
-  };
-  for (size_t d = 0; d < sig.ranges.size(); ++d) {
-    const RangeDim& r = sig.ranges[d];
-    // Tree-based kinds put range dim 0 on the x axis and dim 1 on y; the
-    // kD-tree is built over (posx, posy), so bounds map to the axis of
-    // the attribute itself.
-    bool on_x = sig.kind == IndexKind::kKdNearest ? r.attr == posx_attr_
-                                                  : d == 0;
-    double* lo = on_x ? &rect.xlo : &rect.ylo;
-    double* hi = on_x ? &rect.xhi : &rect.yhi;
-    if (r.lo != nullptr) {
-      SGL_ASSIGN_OR_RETURN(double v, eval_bound(r.lo));
-      *lo = TightenLo(v, r.lo_strict);
-    }
-    if (r.hi != nullptr) {
-      SGL_ASSIGN_OR_RETURN(double v, eval_bound(r.hi));
-      *hi = TightenHi(v, r.hi_strict);
-    }
-  }
-  return rect;
-}
-
-Result<Value> IndexedAggregateProvider::MakeUnitRow(
-    const EnvironmentTable& table, RowId row, double dist2,
-    int32_t agg_index) const {
-  auto out = std::make_shared<RowValue>();
-  out->layout = script_->agg_layouts[agg_index];
-  out->vals.assign(out->layout->fields.size(), 0.0);
-  out->vals[0] = 1.0;
-  out->vals[1] = dist2;
-  for (AttrId a = 0; a < table.schema().NumAttrs(); ++a) {
-    out->vals[2 + a] = table.Get(row, a);
-  }
-  return Value(std::shared_ptr<const RowValue>(std::move(out)));
-}
-
-Result<Value> IndexedAggregateProvider::EmptyRow(int32_t agg_index) const {
-  auto out = std::make_shared<RowValue>();
-  out->layout = script_->agg_layouts[agg_index];
-  out->vals.assign(out->layout->fields.size(), 0.0);
-  return Value(std::shared_ptr<const RowValue>(std::move(out)));
-}
-
-Result<Value> IndexedAggregateProvider::Eval(
-    int32_t agg_index, const std::vector<Value>& scalar_args, RowId u_row,
-    const EnvironmentTable& table, const TickRandom& rnd, int32_t shard) {
-  const AggregateSignature& sig = signatures_[agg_index];
-  if (sig.kind == IndexKind::kNaive) {
-    return interp_->EvalAggregate(agg_index, scalar_args, u_row, table, rnd);
-  }
+Status IndexedAggregateProvider::CheckShard(int32_t shard) const {
   // Per-shard counters: concurrent probes never contend on one slot. An
   // out-of-range shard means the caller skipped set_num_shards — fail
   // deterministically rather than silently race on a shared slot.
@@ -399,60 +348,54 @@ Result<Value> IndexedAggregateProvider::Eval(
                             " but only ", num_shards_,
                             " shards configured (set_num_shards)");
   }
-  const int32_t family_index = family_of_agg_[agg_index];
-  const Family& family = families_[family_index];
-  family.calls->Add(1, shard);
-  // A family the cost model put in scan mode this tick has no (current)
-  // index; answer through the reference evaluator. The demand counter
-  // above still counts the call — it is the signal that flips the family
-  // back to an index once calls outnumber what a scan justifies — but
-  // the externally reported probe_count() does not: no index served it.
-  if (family_mode_[family_index] == PhysicalChoice::kScan) {
-    return interp_->EvalAggregate(agg_index, scalar_args, u_row, table, rnd);
+  return Status::OK();
+}
+
+Rect IndexedAggregateProvider::RectOf(const AggregateSignature& sig,
+                                      const double* bounds) const {
+  Rect rect{-kInf, kInf, -kInf, kInf};
+  for (size_t d = 0; d < sig.ranges.size(); ++d) {
+    const RangeDim& r = sig.ranges[d];
+    // Tree-based kinds put range dim 0 on the x axis and dim 1 on y; the
+    // kD-tree is built over (posx, posy), so bounds map to the axis of
+    // the attribute itself.
+    bool on_x = sig.kind == IndexKind::kKdNearest ? r.attr == posx_attr_
+                                                  : d == 0;
+    if (r.lo != nullptr) {
+      (on_x ? rect.xlo : rect.ylo) = TightenLo(*bounds++, r.lo_strict);
+    }
+    if (r.hi != nullptr) {
+      (on_x ? rect.xhi : rect.yhi) = TightenHi(*bounds++, r.hi_strict);
+    }
   }
-  probes_->Add(1, shard);
+  return rect;
+}
+
+void IndexedAggregateProvider::UnitRow(const EnvironmentTable& table,
+                                       RowId row, double dist2,
+                                       double* vals) const {
+  vals[0] = 1.0;
+  vals[1] = dist2;
+  for (AttrId a = 0; a < table.schema().NumAttrs(); ++a) {
+    vals[2 + a] = table.Get(row, a);
+  }
+}
+
+Status IndexedAggregateProvider::Probe(int32_t agg_index, RowId u_row,
+                                       const double* part_values,
+                                       const Rect& rect, bool probe_ok,
+                                       const EnvironmentTable& table,
+                                       double* vals) const {
+  const AggregateSignature& sig = signatures_[agg_index];
+  const Family& family = families_[family_of_agg_[agg_index]];
   const AggregateDecl& decl = script_->program.aggregates[agg_index];
-  const std::string* u_name = &decl.params[0];
-  const int64_t u_key = table.KeyAt(u_row);
-
-  LocalStack params;
-  for (size_t i = 1; i < decl.params.size(); ++i) {
-    params.Push(decl.params[i], scalar_args[i - 1]);
-  }
-
-  // Probe filters (u-only conjuncts): false => aggregate of the empty set.
-  bool probe_ok = true;
-  for (const Cond* filter : sig.probe_filters) {
-    SGL_ASSIGN_OR_RETURN(
-        bool pass, interp_->EvalCondIn(*filter, table, u_name, u_row, nullptr,
-                                       -1, &params, rnd, u_key));
-    if (!pass) {
-      probe_ok = false;
-      break;
-    }
-  }
-
-  // Partition probe values.
-  std::vector<double> part_values(sig.partitions.size(), 0.0);
-  for (size_t i = 0; i < sig.partitions.size(); ++i) {
-    SGL_ASSIGN_OR_RETURN(
-        Value v,
-        interp_->EvalExprIn(*sig.partitions[i].value, table, u_name, u_row,
-                            nullptr, -1, &params, rnd, u_key));
-    if (!v.is_scalar()) {
-      return Status::ExecutionError("partition value must be scalar");
-    }
-    part_values[i] = v.scalar();
-  }
-  auto partition_matches = [&](const std::vector<double>& comps) {
+  auto partition_matches = [&](const double* comps) {
     for (size_t i = 0; i < sig.partitions.size(); ++i) {
       bool equal = comps[i] == part_values[i];
       if (sig.partitions[i].negated ? equal : !equal) return false;
     }
     return true;
   };
-
-  SGL_ASSIGN_OR_RETURN(Rect rect, ProbeRect(sig, u_row, table, &params, rnd));
 
   switch (sig.kind) {
     case IndexKind::kDivisibleRangeTree:
@@ -477,7 +420,7 @@ Result<Value> IndexedAggregateProvider::Eval(
       int64_t count = 0;
       if (probe_ok) {
         for (const PartitionEntry& part : family.parts) {
-          if (!partition_matches(part.comps)) continue;
+          if (!partition_matches(part.comps.data())) continue;
           if (sig.kind == IndexKind::kPartitionTotals) {
             const PartitionTotals& totals = family.totals[part.id];
             count += totals.count;
@@ -492,9 +435,9 @@ Result<Value> IndexedAggregateProvider::Eval(
         if (sig.exclude_self && family.row_passes[u_row]) {
           // Divisibility (Definition 5.1): subtract the probing unit's own
           // contribution if it falls inside its own probe.
-          std::vector<double> own_comps;
-          for (const PartitionDim& p : sig.partitions) {
-            own_comps.push_back(table.Get(u_row, p.attr));
+          double own_comps[kMaxPartitions];
+          for (size_t i = 0; i < sig.partitions.size(); ++i) {
+            own_comps[i] = table.Get(u_row, sig.partitions[i].attr);
           }
           double ox =
               sig.ranges.size() > 0 ? table.Get(u_row, sig.ranges[0].attr) : 0;
@@ -508,44 +451,41 @@ Result<Value> IndexedAggregateProvider::Eval(
           }
         }
       }
-      auto item_value = [&](size_t i) -> double {
-        const AggItem& item = decl.items[i];
-        int32_t t = sig.term_of_item[i];
-        switch (item.func) {
+      for (size_t i = 0; i < decl.items.size(); ++i) {
+        const int32_t t = sig.term_of_item[i];
+        double v = 0.0;
+        switch (decl.items[i].func) {
           case AggFunc::kCount:
-            return static_cast<double>(count);
+            v = static_cast<double>(count);
+            break;
           case AggFunc::kSum:
-            return sums[t];
+            v = sums[t];
+            break;
           case AggFunc::kAvg:
-            return count == 0 ? 0.0 : sums[t] / static_cast<double>(count);
+            v = count == 0 ? 0.0 : sums[t] / static_cast<double>(count);
+            break;
           case AggFunc::kStddev: {
-            if (count == 0) return 0.0;
+            if (count == 0) break;
             double n = static_cast<double>(count);
             double mean = sums[t] / n;
             double var = sums[m + t] / n - mean * mean;
-            return var <= 0.0 ? 0.0 : std::sqrt(var);
+            v = var <= 0.0 ? 0.0 : std::sqrt(var);
+            break;
           }
           default:
-            return 0.0;
+            break;
         }
-      };
-      if (decl.items.size() == 1) return Value(item_value(0));
-      auto row = std::make_shared<RowValue>();
-      row->layout = script_->agg_layouts[agg_index];
-      row->vals.resize(decl.items.size());
-      for (size_t i = 0; i < decl.items.size(); ++i) {
-        row->vals[i] = item_value(i);
+        vals[i] = v;
       }
-      return Value(std::shared_ptr<const RowValue>(std::move(row)));
+      return Status::OK();
     }
 
     case IndexKind::kMinMaxTree: {
       Extremum best = Extremum::None();
-      const AggItem& item = decl.items[0];
       const bool is_max = sig.extremum_max;
       if (probe_ok) {
         for (const PartitionEntry& part : family.parts) {
-          if (!partition_matches(part.comps)) continue;
+          if (!partition_matches(part.comps.data())) continue;
           Extremum cand = family.mm_trees.at(part.id).Query(rect);
           if (!cand.valid()) continue;
           // Compare in internal (sign-adjusted) space for MAX trees.
@@ -556,22 +496,26 @@ Result<Value> IndexedAggregateProvider::Eval(
           if (!best.valid() || adj < best_adj) best = cand;
         }
       }
-      if (AggFuncReturnsRow(item.func)) {
-        if (!best.valid()) return EmptyRow(agg_index);
-        return MakeUnitRow(table, table.RowOf(best.key), 0.0, agg_index);
+      if (AggFuncReturnsRow(decl.items[0].func)) {
+        const int32_t width = AggregateResultWidth(*script_, agg_index);
+        std::fill(vals, vals + width, 0.0);
+        if (best.valid()) UnitRow(table, table.RowOf(best.key), 0.0, vals);
+      } else {
+        vals[0] = best.valid() ? best.value : 0.0;
       }
-      return Value(best.valid() ? best.value : 0.0);
+      return Status::OK();
     }
 
     case IndexKind::kKdNearest: {
       Neighbor best;
-      const int64_t exclude = sig.exclude_self ? u_key : kNoExclude;
+      const int64_t exclude =
+          sig.exclude_self ? table.KeyAt(u_row) : kNoExclude;
       const double qx = table.Get(u_row, posx_attr_);
       const double qy = table.Get(u_row, posy_attr_);
       const bool bounded = !sig.ranges.empty();
       if (probe_ok) {
         for (const PartitionEntry& part : family.parts) {
-          if (!partition_matches(part.comps)) continue;
+          if (!partition_matches(part.comps.data())) continue;
           const KdTree2D& tree = family.kd_trees.at(part.id);
           Neighbor cand = bounded
                               ? tree.NearestInRect(qx, qy, exclude, rect)
@@ -583,14 +527,142 @@ Result<Value> IndexedAggregateProvider::Eval(
           }
         }
       }
-      if (!best.found()) return EmptyRow(agg_index);
-      return MakeUnitRow(table, table.RowOf(best.key), best.dist2, agg_index);
+      const int32_t width = AggregateResultWidth(*script_, agg_index);
+      std::fill(vals, vals + width, 0.0);
+      if (best.found()) {
+        UnitRow(table, table.RowOf(best.key), best.dist2, vals);
+      }
+      return Status::OK();
     }
 
     case IndexKind::kNaive:
       break;
   }
   return Status::Internal("unreachable index kind");
+}
+
+Result<Value> IndexedAggregateProvider::Eval(
+    int32_t agg_index, const std::vector<Value>& scalar_args, RowId u_row,
+    const EnvironmentTable& table, const TickRandom& rnd, int32_t shard) {
+  const AggregateSignature& sig = signatures_[agg_index];
+  if (sig.kind == IndexKind::kNaive) {
+    return interp_->EvalAggregate(agg_index, scalar_args, u_row, table, rnd);
+  }
+  SGL_RETURN_NOT_OK(CheckShard(shard));
+  const int32_t family_index = family_of_agg_[agg_index];
+  const Family& family = families_[family_index];
+  family.calls->Add(1, shard);
+  // A family the cost model put in scan mode this tick has no (current)
+  // index; answer through the reference evaluator. The demand counter
+  // above still counts the call — it is the signal that flips the family
+  // back to an index once calls outnumber what a scan justifies — but
+  // the externally reported probe_count() does not: no index served it.
+  if (family_mode_[family_index] == PhysicalChoice::kScan) {
+    return interp_->EvalAggregate(agg_index, scalar_args, u_row, table, rnd);
+  }
+  probes_->Add(1, shard);
+
+  // The probe side, evaluated with the interpreter: probe filters (u-only
+  // conjuncts; false => aggregate of the empty set), partition values,
+  // then range bounds.
+  const AggregateDecl& decl = script_->program.aggregates[agg_index];
+  const std::string* u_name = &decl.params[0];
+  const int64_t u_key = table.KeyAt(u_row);
+  LocalStack params;
+  for (size_t i = 1; i < decl.params.size(); ++i) {
+    params.Push(decl.params[i], scalar_args[i - 1]);
+  }
+  bool probe_ok = true;
+  for (const Cond* filter : sig.probe_filters) {
+    SGL_ASSIGN_OR_RETURN(
+        bool pass, interp_->EvalCondIn(*filter, table, u_name, u_row, nullptr,
+                                       -1, &params, rnd, u_key));
+    if (!pass) {
+      probe_ok = false;
+      break;
+    }
+  }
+  auto eval_scalar = [&](const Expr* expr, const char* what) -> Result<double> {
+    SGL_ASSIGN_OR_RETURN(
+        Value v, interp_->EvalExprIn(*expr, table, u_name, u_row, nullptr, -1,
+                                     &params, rnd, u_key));
+    if (!v.is_scalar()) {
+      return Status::ExecutionError(what, " must be scalar");
+    }
+    return v.scalar();
+  };
+  double part_values[kMaxPartitions];
+  for (size_t i = 0; i < sig.partitions.size(); ++i) {
+    SGL_ASSIGN_OR_RETURN(part_values[i], eval_scalar(sig.partitions[i].value,
+                                                     "partition value"));
+  }
+  double bounds[2 * kMaxRanges];
+  int32_t num_bounds = 0;
+  for (const RangeDim& r : sig.ranges) {
+    for (const Expr* bound : {r.lo, r.hi}) {
+      if (bound == nullptr) continue;
+      SGL_ASSIGN_OR_RETURN(bounds[num_bounds++],
+                           eval_scalar(bound, "range bound"));
+    }
+  }
+
+  std::vector<double> vals(AggregateResultWidth(*script_, agg_index));
+  SGL_RETURN_NOT_OK(Probe(agg_index, u_row, part_values, RectOf(sig, bounds),
+                          probe_ok, table, vals.data()));
+  return BoxAggregateResult(*script_, agg_index, vals.data());
+}
+
+Status IndexedAggregateProvider::EvalBatch(const AggBatch& batch,
+                                           const EnvironmentTable& table,
+                                           const TickRandom& rnd,
+                                           int32_t shard) {
+  const int32_t agg_index = batch.agg_index;
+  const AggregateSignature& sig = signatures_[agg_index];
+  const int32_t family_index = family_of_agg_[agg_index];
+  // Naive-scan signatures, scan-mode families and sites without a
+  // computed probe side take the per-unit reference path.
+  if (sig.kind == IndexKind::kNaive || !batch.has_probe ||
+      family_mode_[family_index] == PhysicalChoice::kScan) {
+    return AggregateProvider::EvalBatch(batch, table, rnd, shard);
+  }
+  SGL_RETURN_NOT_OK(CheckShard(shard));
+  const int32_t num_parts = static_cast<int32_t>(sig.partitions.size());
+  const int32_t num_bounds = NumBounds(sig);
+  if (batch.num_probe_values != num_parts + num_bounds ||
+      batch.num_probe_filters !=
+          static_cast<int32_t>(sig.probe_filters.size()) ||
+      batch.nout != AggregateResultWidth(*script_, agg_index)) {
+    return Status::Internal("aggregate batch does not match the signature");
+  }
+
+  std::vector<double> vals(batch.nout);
+  double part_values[kMaxPartitions];
+  double bounds[2 * kMaxRanges];
+  int64_t lanes = 0;
+  for (int32_t i = 0; i < batch.n; ++i) {
+    if (batch.active[i] == 0) {
+      for (int32_t k = 0; k < batch.nout; ++k) batch.out[k][i] = 0.0;
+      continue;
+    }
+    ++lanes;
+    for (int32_t p = 0; p < num_parts; ++p) {
+      part_values[p] = batch.probe_values[p][i];
+    }
+    for (int32_t b = 0; b < num_bounds; ++b) {
+      bounds[b] = batch.probe_values[num_parts + b][i];
+    }
+    bool probe_ok = true;
+    for (int32_t f = 0; f < batch.num_probe_filters; ++f) {
+      probe_ok &= batch.probe_filters[f][i] != 0;
+    }
+    SGL_RETURN_NOT_OK(Probe(agg_index, batch.lo + i, part_values,
+                            RectOf(sig, bounds), probe_ok, table,
+                            vals.data()));
+    for (int32_t k = 0; k < batch.nout; ++k) batch.out[k][i] = vals[k];
+  }
+  families_[family_index].calls->Add(lanes, shard);
+  probes_->Add(lanes, shard);
+  return Status::OK();
 }
 
 std::string IndexedAggregateProvider::DescribeAggregatePhysical(

@@ -11,7 +11,9 @@
 // bounds, probe filters, self-exclusion, and which family columns its
 // items read. Each tick, BuildIndexes() rebuilds the per-partition
 // structures from scratch — the paper's choice for volatile data — and
-// Eval() answers each aggregate call as an index probe:
+// each aggregate call is answered as an index probe, one unit at a time
+// through Eval() or a whole VM batch at a time through EvalBatch(), both
+// ending in the same probe core:
 //
 //   divisible aggregates  -> layered range tree with prefix aggregates
 //                            (Figure 8), O(log n) per probe;
@@ -69,6 +71,14 @@ class IndexedAggregateProvider : public AggregateProvider {
   Result<Value> Eval(int32_t agg_index, const std::vector<Value>& scalar_args,
                      RowId u_row, const EnvironmentTable& table,
                      const TickRandom& rnd, int32_t shard = 0) override;
+
+  /// Answer a whole call-site batch from its probe-side columns: each
+  /// active lane goes straight to the probe core Eval also ends in, with
+  /// no expression evaluation and no boxing. Naive-scan aggregates,
+  /// scan-mode families, and batches without a probe side answer lane by
+  /// lane through Eval.
+  Status EvalBatch(const AggBatch& batch, const EnvironmentTable& table,
+                   const TickRandom& rnd, int32_t shard = 0) override;
 
   /// Size the per-shard probe counters for up to `num_shards` concurrent
   /// callers (SimulationBuilder sets this to the thread count).
@@ -216,14 +226,27 @@ class IndexedAggregateProvider : public AggregateProvider {
                        const EnvironmentTable& table, const TickRandom& rnd,
                        exec::ThreadPool* pool, exec::ParallelStats* stats);
 
-  /// Evaluate probe-side bounds/partition values for unit `u_row`.
-  Result<Rect> ProbeRect(const AggregateSignature& sig, RowId u_row,
-                         const EnvironmentTable& table, LocalStack* params,
-                         const TickRandom& rnd) const;
+  /// Internal error for a shard outside [0, num_shards).
+  Status CheckShard(int32_t shard) const;
 
-  Result<Value> MakeUnitRow(const EnvironmentTable& table, RowId row,
-                            double dist2, int32_t agg_index) const;
-  Result<Value> EmptyRow(int32_t agg_index) const;
+  /// The query rectangle of `sig` from its evaluated range bounds, given
+  /// in ProbeValues order (each dimension's present lower, then upper
+  /// bound). Strict bounds tighten by one ulp.
+  Rect RectOf(const AggregateSignature& sig, const double* bounds) const;
+
+  /// The one probe core behind Eval and EvalBatch: answer indexed
+  /// aggregate `agg_index` (its family not in scan mode) for unit `u_row`
+  /// from its evaluated probe side — partition values, query rectangle,
+  /// and whether every probe filter passed — writing the result's
+  /// AggregateResultWidth doubles to `vals`. Touches no counter.
+  Status Probe(int32_t agg_index, RowId u_row, const double* part_values,
+               const Rect& rect, bool probe_ok, const EnvironmentTable& table,
+               double* vals) const;
+
+  /// A found row-returning result: found = 1, dist2, then row `row`'s
+  /// attributes.
+  void UnitRow(const EnvironmentTable& table, RowId row, double dist2,
+               double* vals) const;
 
   const Script* script_;
   const Interpreter* interp_;

@@ -1,5 +1,6 @@
 #include "opt/sharing.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <mutex>
@@ -136,13 +137,7 @@ SharingPlan ClassifySharing(const Script& script,
     // values, range bounds, and probe-filter outcomes get equal results
     // (the probe algorithm consumes nothing else once self-exclusion is
     // ruled out above).
-    for (const PartitionDim& p : sig.partitions) {
-      plan.key_exprs.push_back(p.value);
-    }
-    for (const RangeDim& r : sig.ranges) {
-      if (r.lo != nullptr) plan.key_exprs.push_back(r.lo);
-      if (r.hi != nullptr) plan.key_exprs.push_back(r.hi);
-    }
+    plan.key_exprs = sig.ProbeValues();
     plan.key_conds = sig.probe_filters;
     plan.cls = SharingClass::kPartitionKeyed;
     return plan;
@@ -167,15 +162,63 @@ SharingPlan ClassifySharing(const Script& script,
 
 // ----------------------------------------------------------- SharingContext
 
-size_t SharingContext::KeyHash::operator()(const Key& key) const {
+namespace {
+
+uint64_t HashKey(const double* key, int32_t width) {
   uint64_t h = 1469598103934665603ull;  // FNV-1a
-  for (double d : key) {
+  for (int32_t i = 0; i < width; ++i) {
     uint64_t bits = 0;
-    if (d != 0.0) std::memcpy(&bits, &d, sizeof(bits));  // -0.0 == 0.0
+    if (key[i] != 0.0) std::memcpy(&bits, &key[i], sizeof(bits));  // -0 == 0
     h ^= bits;
     h *= 1099511628211ull;
   }
-  return static_cast<size_t>(h);
+  // Open addressing uses the low bits, which FNV leaves poorly mixed for
+  // integral doubles (zero low mantissa bits): finish with a full mixer.
+  return Mix64(h);
+}
+
+bool KeysEqual(const double* a, const double* b, int32_t width) {
+  for (int32_t i = 0; i < width; ++i) {
+    if (!(a[i] == b[i])) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+void KeyTable::Reset(int32_t width) {
+  width_ = width;
+  size_ = 0;
+  keys_.clear();
+  std::fill(slots_.begin(), slots_.end(), -1);
+}
+
+size_t KeyTable::SlotOf(const double* key) const {
+  const size_t mask = slots_.size() - 1;
+  size_t s = HashKey(key, width_) & mask;
+  while (slots_[s] >= 0 && !KeysEqual(Key(slots_[s]), key, width_)) {
+    s = (s + 1) & mask;
+  }
+  return s;
+}
+
+int32_t KeyTable::Find(const double* key) const {
+  return slots_.empty() ? -1 : slots_[SlotOf(key)];
+}
+
+int32_t KeyTable::FindOrAdd(const double* key, bool* added) {
+  if (static_cast<size_t>(size_ + 1) * 2 > slots_.size()) {
+    // Grow to keep the load factor at most 1/2, re-slotting every entry.
+    slots_.assign(std::max<size_t>(16, slots_.size() * 2), -1);
+    for (int32_t e = 0; e < size_; ++e) slots_[SlotOf(Key(e))] = e;
+  }
+  const size_t s = SlotOf(key);
+  *added = slots_[s] < 0;
+  if (*added) {
+    slots_[s] = size_++;
+    keys_.insert(keys_.end(), key, key + width_);
+  }
+  return slots_[s];
 }
 
 SharingContext::SharingContext()
@@ -199,7 +242,9 @@ void SharingContext::BindGroup(int32_t g) {
 int32_t SharingContext::RegisterAggregate(const std::string& member,
                                           const std::string& canonical_key,
                                           SharingClass cls,
-                                          const std::string& reason) {
+                                          const std::string& reason,
+                                          int32_t key_width,
+                                          int32_t result_width) {
   auto [it, inserted] = group_by_key_.emplace(
       canonical_key, static_cast<int32_t>(groups_.size()));
   if (inserted) {
@@ -207,6 +252,8 @@ int32_t SharingContext::RegisterAggregate(const std::string& member,
     group->cls = cls;
     group->reason = reason;
     group->active = cls != SharingClass::kPerUnit;
+    group->memo.Reset(key_width);
+    group->result_width = result_width;
     groups_.push_back(std::move(group));
     BindGroup(it->second);
   }
@@ -285,32 +332,53 @@ void SharingContext::BeginTick() {
     // Memoized results are only valid against the frozen state of the
     // tick that computed them. Single-threaded here (tick prologue), so
     // no lock is needed.
-    group.memo.clear();
+    group.memo.Reset(group.memo.width());
+    group.results.clear();
   }
 }
 
-bool SharingContext::Lookup(int32_t group_id, const Key& key, Value* out,
-                            int32_t shard) {
+void SharingContext::Lookup(int32_t group_id, const double* keys,
+                            int32_t num_keys, uint8_t* found, double* vals) {
   Group& group = *groups_[group_id];
-  group.calls->Add(1, shard);
-  {
-    std::shared_lock<std::shared_mutex> lock(group.mu);
-    auto it = group.memo.find(key);
-    if (it == group.memo.end()) return false;
-    *out = it->second;
+  const int32_t w = group.memo.width();
+  const int32_t r = group.result_width;
+  std::shared_lock<std::shared_mutex> lock(group.mu);
+  for (int32_t j = 0; j < num_keys; ++j) {
+    const int32_t e = group.memo.Find(keys + static_cast<size_t>(j) * w);
+    found[j] = e >= 0;
+    if (e >= 0) {
+      const double* src = group.results.data() + static_cast<size_t>(e) * r;
+      std::copy(src, src + r, vals + static_cast<size_t>(j) * r);
+    }
   }
-  group.hits->Add(1, shard);
-  return true;
 }
 
-void SharingContext::Publish(int32_t group_id, const Key& key, Value value) {
+void SharingContext::Publish(int32_t group_id, const double* keys,
+                             int32_t num_keys, const double* vals) {
   Group& group = *groups_[group_id];
+  const int32_t w = group.memo.width();
+  const int32_t r = group.result_width;
   std::unique_lock<std::shared_mutex> lock(group.mu);
-  // Publish-once: if a racing shard installed this key first, its value
-  // is bit-identical (aggregates are deterministic in (key, table)) and
-  // this copy is simply dropped.
-  auto [it, inserted] = group.memo.emplace(key, std::move(value));
-  if (inserted) group.entries->Add(1);
+  // Publish-once: if a racing shard installed a key first, its result is
+  // bit-identical (aggregates are deterministic in (key, table)) and this
+  // copy is simply dropped.
+  int64_t added = 0;
+  for (int32_t j = 0; j < num_keys; ++j) {
+    bool fresh = false;
+    group.memo.FindOrAdd(keys + static_cast<size_t>(j) * w, &fresh);
+    if (!fresh) continue;
+    const double* src = vals + static_cast<size_t>(j) * r;
+    group.results.insert(group.results.end(), src, src + r);
+    ++added;
+  }
+  if (added != 0) group.entries->Add(added);
+}
+
+void SharingContext::Tally(int32_t group_id, int64_t calls, int64_t hits,
+                           int32_t shard) {
+  Group& group = *groups_[group_id];
+  group.calls->Add(calls, shard);
+  if (hits != 0) group.hits->Add(hits, shard);
 }
 
 std::string SharingContext::Describe() const {
@@ -359,7 +427,7 @@ SharingAggregateProvider::Create(const Script& script,
         session_name + "." + script.program.aggregates[a].name;
     provider->group_of_.push_back(ctx->RegisterAggregate(
         member, CanonicalAggregateFingerprint(script, a), plan.cls,
-        plan.reason));
+        plan.reason, plan.key_width(), AggregateResultWidth(script, a)));
     provider->plans_.push_back(std::move(plan));
   }
   return provider;
@@ -374,6 +442,18 @@ Result<Value> SharingAggregateProvider::InnerEval(
   return interp_->EvalAggregate(agg_index, scalar_args, u_row, table, rnd);
 }
 
+Status SharingAggregateProvider::InnerEvalBatch(const AggBatch& batch,
+                                                const EnvironmentTable& table,
+                                                const TickRandom& rnd,
+                                                int32_t shard) {
+  if (inner_ != nullptr) return inner_->EvalBatch(batch, table, rnd, shard);
+  return EvalBatchByLane(
+      batch, [&](const std::vector<Value>& args, RowId u_row) {
+        return interp_->EvalAggregate(batch.agg_index, args, u_row, table,
+                                      rnd);
+      });
+}
+
 Result<Value> SharingAggregateProvider::Eval(
     int32_t agg_index, const std::vector<Value>& scalar_args, RowId u_row,
     const EnvironmentTable& table, const TickRandom& rnd, int32_t shard) {
@@ -385,9 +465,8 @@ Result<Value> SharingAggregateProvider::Eval(
   }
   const SharingPlan& plan = plans_[agg_index];
 
-  SharingContext::Key key;
-  key.reserve(plan.key_exprs.size() + plan.key_conds.size() +
-              plan.key_params.size());
+  std::vector<double> key;
+  key.reserve(plan.key_width());
   if (!plan.key_exprs.empty() || !plan.key_conds.empty()) {
     const AggregateDecl& decl = script_->program.aggregates[agg_index];
     const std::string* u_name = &decl.params[0];
@@ -420,13 +499,130 @@ Result<Value> SharingAggregateProvider::Eval(
     key.push_back(v.scalar());
   }
 
-  Value out;
-  if (ctx_->Lookup(group, key, &out, shard)) return out;
-  SGL_ASSIGN_OR_RETURN(out,
+  std::vector<double> vals(AggregateResultWidth(*script_, agg_index));
+  uint8_t found = 0;
+  ctx_->Lookup(group, key.data(), 1, &found, vals.data());
+  ctx_->Tally(group, 1, found, shard);
+  if (found) return BoxAggregateResult(*script_, agg_index, vals.data());
+  SGL_ASSIGN_OR_RETURN(Value out,
                        InnerEval(agg_index, scalar_args, u_row, table, rnd,
                                  shard));
-  ctx_->Publish(group, key, out);
+  if (UnboxAggregateResult(out, static_cast<int32_t>(vals.size()),
+                           vals.data())) {
+    ctx_->Publish(group, key.data(), 1, vals.data());
+  }
   return out;
+}
+
+namespace {
+
+/// One EvalBatch's working set, reused across calls on the same thread
+/// (batches on distinct threads never share it).
+struct BatchScratch {
+  KeyTable keys;                     // the batch's distinct keys
+  std::vector<int32_t> distinct;     // lane -> distinct key index
+  std::vector<int32_t> rep;          // distinct key -> first lane with it
+  std::vector<uint8_t> found;        // distinct key -> already in the memo
+  std::vector<double> results;       // distinct key -> result doubles
+  std::vector<uint8_t> miss_active;  // the sub-batch's lane mask
+  std::vector<double> miss_out;      // the sub-batch's result columns
+  std::vector<double*> miss_cols;
+};
+
+}  // namespace
+
+Status SharingAggregateProvider::EvalBatch(const AggBatch& batch,
+                                           const EnvironmentTable& table,
+                                           const TickRandom& rnd,
+                                           int32_t shard) {
+  const int32_t agg_index = batch.agg_index;
+  const int32_t group = group_of_[agg_index];
+  if (!ctx_->Active(group) || shard < 0 || shard >= ctx_->num_shards()) {
+    return InnerEvalBatch(batch, table, rnd, shard);
+  }
+  const SharingPlan& plan = plans_[agg_index];
+  const int32_t num_values = static_cast<int32_t>(plan.key_exprs.size());
+  const int32_t num_conds = static_cast<int32_t>(plan.key_conds.size());
+  if ((num_values != 0 || num_conds != 0) &&
+      (!batch.has_probe || batch.num_probe_values != num_values ||
+       batch.num_probe_filters != num_conds)) {
+    // No probe columns to key on: key each lane the per-unit way.
+    return AggregateProvider::EvalBatch(batch, table, rnd, shard);
+  }
+  const int32_t w = plan.key_width();
+  const int32_t r = batch.nout;
+  const int32_t n = batch.n;
+
+  thread_local BatchScratch sc;
+  sc.keys.Reset(w);
+  sc.distinct.assign(n, -1);
+  sc.rep.clear();
+  std::vector<double> lane_key(w);
+  int64_t calls = 0;
+  for (int32_t i = 0; i < n; ++i) {
+    if (batch.active[i] == 0) continue;
+    ++calls;
+    int32_t c = 0;
+    for (int32_t v = 0; v < num_values; ++v) {
+      lane_key[c++] = batch.probe_values[v][i];
+    }
+    for (int32_t f = 0; f < num_conds; ++f) {
+      lane_key[c++] = batch.probe_filters[f][i] != 0 ? 1.0 : 0.0;
+    }
+    for (int32_t p : plan.key_params) lane_key[c++] = batch.args[p][i];
+    bool added = false;
+    sc.distinct[i] = sc.keys.FindOrAdd(lane_key.data(), &added);
+    if (added) sc.rep.push_back(i);
+  }
+  const int32_t num_distinct = static_cast<int32_t>(sc.rep.size());
+
+  sc.found.assign(num_distinct, 0);
+  sc.results.resize(static_cast<size_t>(num_distinct) * r);
+  ctx_->Lookup(group, sc.keys.Key(0), num_distinct, sc.found.data(),
+               sc.results.data());
+
+  // The distinct misses go to the inner provider as one sub-batch: the
+  // same columns, active only on each missed key's first lane.
+  int32_t misses = 0;
+  sc.miss_active.assign(n, 0);
+  for (int32_t d = 0; d < num_distinct; ++d) {
+    if (sc.found[d] == 0) {
+      sc.miss_active[sc.rep[d]] = 1;
+      ++misses;
+    }
+  }
+  if (misses > 0) {
+    sc.miss_out.resize(static_cast<size_t>(r) * n);
+    sc.miss_cols.resize(r);
+    for (int32_t k = 0; k < r; ++k) {
+      sc.miss_cols[k] = sc.miss_out.data() + static_cast<size_t>(k) * n;
+    }
+    AggBatch sub = batch;
+    sub.active = sc.miss_active.data();
+    sub.out = sc.miss_cols.data();
+    SGL_RETURN_NOT_OK(InnerEvalBatch(sub, table, rnd, shard));
+    for (int32_t d = 0; d < num_distinct; ++d) {
+      if (sc.found[d] != 0) continue;
+      double* res = sc.results.data() + static_cast<size_t>(d) * r;
+      for (int32_t k = 0; k < r; ++k) res[k] = sc.miss_cols[k][sc.rep[d]];
+    }
+    // Keys found above are already published; Publish skips them.
+    ctx_->Publish(group, sc.keys.Key(0), num_distinct, sc.results.data());
+  }
+
+  for (int32_t i = 0; i < n; ++i) {
+    const int32_t d = sc.distinct[i];
+    if (d < 0) {
+      for (int32_t k = 0; k < r; ++k) batch.out[k][i] = 0.0;
+      continue;
+    }
+    const double* res = sc.results.data() + static_cast<size_t>(d) * r;
+    for (int32_t k = 0; k < r; ++k) batch.out[k][i] = res[k];
+  }
+  // Per-lane accounting: every active lane is a call; all but each
+  // missed key's first lane would have been served by the memo.
+  ctx_->Tally(group, calls, calls - misses, shard);
+  return Status::OK();
 }
 
 }  // namespace sgl

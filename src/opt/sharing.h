@@ -68,6 +68,35 @@
 
 namespace sgl {
 
+/// A set of fixed-width tuples of doubles (memo keys), stored flat with
+/// open addressing; entries are numbered densely in insertion order.
+/// Components compare with ==, like the probe values they hold: -0.0
+/// equals 0.0, and a key holding a NaN never matches (each insertion
+/// makes a fresh entry).
+class KeyTable {
+ public:
+  /// Empty the table and fix the key width.
+  void Reset(int32_t width);
+  int32_t width() const { return width_; }
+  int32_t size() const { return size_; }
+  const double* Key(int32_t entry) const {
+    return keys_.data() + static_cast<size_t>(entry) * width_;
+  }
+  /// Entry holding `key`, or -1.
+  int32_t Find(const double* key) const;
+  /// Entry holding `key`, adding it if absent (*added says which).
+  int32_t FindOrAdd(const double* key, bool* added);
+
+ private:
+  /// The slot holding `key`, else the empty slot where it belongs.
+  size_t SlotOf(const double* key) const;
+
+  int32_t width_ = 0;
+  int32_t size_ = 0;
+  std::vector<double> keys_;    // size_ * width_
+  std::vector<int32_t> slots_;  // entry or -1; a power of two, or empty
+};
+
 /// How one aggregate declaration's probe results may be shared.
 enum class SharingClass { kPerUnit, kUnitInvariant, kPartitionKeyed };
 
@@ -83,11 +112,18 @@ struct SharingPlan {
   /// kPartitionKeyed key recipe, in canonical order: probe-side scalar
   /// expressions (partition values, range bounds) evaluated with the
   /// probing unit bound, then probe-filter conditions as 0/1 components,
-  /// then raw scalar-argument indices. Unit-invariant plans have an
-  /// empty recipe (a single slot per tick).
+  /// then raw scalar-argument indices. The expressions and conditions
+  /// are the signature's whole probe side (ProbeValues, probe_filters),
+  /// so a VM batch's probe columns are the key. Unit-invariant plans
+  /// have an empty recipe (a single slot per tick).
   std::vector<const Expr*> key_exprs;
   std::vector<const Cond*> key_conds;
   std::vector<int32_t> key_params;  // indices into Eval's scalar_args
+
+  int32_t key_width() const {
+    return static_cast<int32_t>(key_exprs.size() + key_conds.size() +
+                                key_params.size());
+  }
 };
 
 /// Classify aggregate `sig.agg_index` of `script`. Pure analysis; never
@@ -101,14 +137,16 @@ SharingPlan ClassifySharing(const Script& script,
 /// per-tick memo tables. Owned by Simulation; one instance serves every
 /// script session.
 ///
+/// A memo key is a fixed-width tuple of doubles (the group's recipe
+/// width) and a memo value the aggregate's result doubles (its
+/// AggregateResultWidth), both stored flat.
+///
 /// Thread safety: registration and BeginTick are build-time / tick-
-/// prologue operations (single-threaded by construction); Lookup and
-/// Publish are called concurrently from the decision phase and
+/// prologue operations (single-threaded by construction); lookups and
+/// publishes are called concurrently from the decision phase and
 /// synchronize per group (shared lock to read, unique lock to publish).
 class SharingContext {
  public:
-  using Key = std::vector<double>;
-
   /// A fresh context binds its counters to a private metrics registry so
   /// standalone use (tests, tools) works unchanged; SimulationBuilder
   /// rebinds into the simulation's via BindMetrics.
@@ -118,10 +156,12 @@ class SharingContext {
   /// `member` ("script.aggregate") for EXPLAIN. All members of a group
   /// share classification by construction (the class is derived from the
   /// same structure the key canonicalizes), so `cls`/`reason` are simply
-  /// recorded on first registration. Returns the group id.
+  /// recorded on first registration, as are the memo's key width and
+  /// result width. Returns the group id.
   int32_t RegisterAggregate(const std::string& member,
                             const std::string& canonical_key,
-                            SharingClass cls, const std::string& reason);
+                            SharingClass cls, const std::string& reason,
+                            int32_t key_width, int32_t result_width);
 
   /// Size per-shard counters for up to `num_shards` concurrent callers
   /// (SimulationBuilder sets this to the thread count after every
@@ -150,13 +190,21 @@ class SharingContext {
   /// skip all sharing work — including the calls tally — once inactive.
   bool Active(int32_t group) const { return groups_[group]->active; }
 
-  /// Per-tick memo probe. On a hit, *out receives the published value.
-  /// Tallies the call (and the hit) on `shard`'s counters.
-  bool Lookup(int32_t group, const Key& key, Value* out, int32_t shard);
+  /// Per-tick memo probe of `num_keys` keys stored back to back, under
+  /// one shared lock: found[j] is set, and result j copied to
+  /// vals + j * result width, for each key already published. Tallies
+  /// nothing — the caller reports its calls through Tally.
+  void Lookup(int32_t group, const double* keys, int32_t num_keys,
+              uint8_t* found, double* vals);
 
-  /// Publish-once: install `value` for `key` unless another shard beat
-  /// us to it (both computed the identical value; the first wins).
-  void Publish(int32_t group, const Key& key, Value value);
+  /// Publish-once, under one unique lock: install each of `num_keys`
+  /// results (keys and results back to back) unless another shard beat
+  /// us to its key (both computed the identical result; the first wins).
+  void Publish(int32_t group, const double* keys, int32_t num_keys,
+               const double* vals);
+
+  /// Record `calls` memo calls, `hits` of them served from the memo.
+  void Tally(int32_t group, int64_t calls, int64_t hits, int32_t shard);
 
   int32_t NumGroups() const { return static_cast<int32_t>(groups_.size()); }
   int32_t num_shards() const { return num_shards_; }
@@ -182,10 +230,6 @@ class SharingContext {
   std::string Describe() const;
 
  private:
-  struct KeyHash {
-    size_t operator()(const Key& key) const;
-  };
-
   struct Group {
     SharingClass cls = SharingClass::kPerUnit;
     std::string reason;
@@ -200,8 +244,12 @@ class SharingContext {
     obs::Counter* hits = nullptr;
     obs::Counter* entries = nullptr;
 
-    std::shared_mutex mu;                       // guards memo
-    std::unordered_map<Key, Value, KeyHash> memo;
+    /// The per-tick memo: entry e's key is memo.Key(e), its result the
+    /// result_width doubles at results[e * result_width].
+    int32_t result_width = 1;
+    std::shared_mutex mu;          // guards memo and results
+    KeyTable memo;
+    std::vector<double> results;
   };
 
   /// (Re)bind group `g`'s counters into metrics_ under prefix_.
@@ -243,6 +291,15 @@ class SharingAggregateProvider : public AggregateProvider {
                      RowId u_row, const EnvironmentTable& table,
                      const TickRandom& rnd, int32_t shard = 0) override;
 
+  /// Key every active lane from the batch's columns (probe side or
+  /// scalar arguments, per the plan's recipe — no AST walk), look each
+  /// distinct key up once, and forward only the distinct misses to the
+  /// inner provider as one sub-batch (the same columns under a sparser
+  /// active mask). Calls and entries tally exactly as the per-lane calls
+  /// would.
+  Status EvalBatch(const AggBatch& batch, const EnvironmentTable& table,
+                   const TickRandom& rnd, int32_t shard = 0) override;
+
   const SharingPlan& plan(int32_t agg_index) const {
     return plans_[agg_index];
   }
@@ -268,6 +325,8 @@ class SharingAggregateProvider : public AggregateProvider {
                           const std::vector<Value>& scalar_args, RowId u_row,
                           const EnvironmentTable& table, const TickRandom& rnd,
                           int32_t shard);
+  Status InnerEvalBatch(const AggBatch& batch, const EnvironmentTable& table,
+                        const TickRandom& rnd, int32_t shard);
 
   const Script* script_;
   const Interpreter* interp_;

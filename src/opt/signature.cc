@@ -252,6 +252,16 @@ std::string CanonicalAggregateFingerprint(const Script& script,
   return os.str();
 }
 
+std::vector<const Expr*> AggregateSignature::ProbeValues() const {
+  std::vector<const Expr*> out;
+  for (const PartitionDim& p : partitions) out.push_back(p.value);
+  for (const RangeDim& r : ranges) {
+    if (r.lo != nullptr) out.push_back(r.lo);
+    if (r.hi != nullptr) out.push_back(r.hi);
+  }
+  return out;
+}
+
 Result<AggregateSignature> ExtractSignature(const Script& script,
                                             int32_t agg_index) {
   const AggregateDecl& decl = script.program.aggregates[agg_index];

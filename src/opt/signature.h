@@ -107,6 +107,13 @@ struct AggregateSignature {
   /// Canonical form of terms[t], the key that deduplicates term columns
   /// among a family's members.
   std::string TermKey(size_t t) const;
+
+  /// The probe side's value expressions in canonical order: each
+  /// partition's value, then each range dimension's lower and upper bound
+  /// (present ones only). With probe_filters, this is what one probe
+  /// consumes besides the unit's key and position, and it fixes the
+  /// column order of an AggBatch's probe side and of sharing memo keys.
+  std::vector<const Expr*> ProbeValues() const;
 };
 
 /// Extract the signature of aggregate `agg_index` of `script`.

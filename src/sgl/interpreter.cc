@@ -517,4 +517,69 @@ Status Interpreter::ExecAction(int32_t action_index,
   return Status::OK();
 }
 
+// ------------------------------------------------------ batch aggregate seam
+
+int32_t AggregateResultWidth(const Script& script, int32_t agg_index) {
+  const AggregateDecl& decl = script.program.aggregates[agg_index];
+  if (!decl.ReturnsRow() && decl.items.size() <= 1) return 1;
+  return static_cast<int32_t>(script.agg_layouts[agg_index]->fields.size());
+}
+
+Value BoxAggregateResult(const Script& script, int32_t agg_index,
+                         const double* vals) {
+  const AggregateDecl& decl = script.program.aggregates[agg_index];
+  if (!decl.ReturnsRow() && decl.items.size() <= 1) return Value(vals[0]);
+  auto row = std::make_shared<RowValue>();
+  row->layout = script.agg_layouts[agg_index];
+  row->vals.assign(vals, vals + row->layout->fields.size());
+  return Value(std::shared_ptr<const RowValue>(std::move(row)));
+}
+
+bool UnboxAggregateResult(const Value& v, int32_t nout, double* vals) {
+  if (nout == 1) {
+    if (!v.is_scalar()) return false;
+    vals[0] = v.scalar();
+    return true;
+  }
+  if (!v.is_row() || static_cast<int32_t>(v.row().vals.size()) != nout) {
+    return false;
+  }
+  std::copy(v.row().vals.begin(), v.row().vals.end(), vals);
+  return true;
+}
+
+Status EvalBatchByLane(
+    const AggBatch& batch,
+    const std::function<Result<Value>(const std::vector<Value>&, RowId)>&
+        eval) {
+  std::vector<Value> args;
+  std::vector<double> vals(batch.nout);
+  for (int32_t i = 0; i < batch.n; ++i) {
+    if (batch.active[i] == 0) {
+      for (int32_t k = 0; k < batch.nout; ++k) batch.out[k][i] = 0.0;
+      continue;
+    }
+    args.clear();
+    for (int32_t j = 0; j < batch.num_args; ++j) {
+      args.push_back(Value(batch.args[j][i]));
+    }
+    SGL_ASSIGN_OR_RETURN(Value v, eval(args, batch.lo + i));
+    if (!UnboxAggregateResult(v, batch.nout, vals.data())) {
+      return Status::ExecutionError("aggregate result does not have the "
+                                    "call site's shape");
+    }
+    for (int32_t k = 0; k < batch.nout; ++k) batch.out[k][i] = vals[k];
+  }
+  return Status::OK();
+}
+
+Status AggregateProvider::EvalBatch(const AggBatch& batch,
+                                    const EnvironmentTable& table,
+                                    const TickRandom& rnd, int32_t shard) {
+  return EvalBatchByLane(
+      batch, [&](const std::vector<Value>& args, RowId u_row) {
+        return Eval(batch.agg_index, args, u_row, table, rnd, shard);
+      });
+}
+
 }  // namespace sgl

@@ -10,6 +10,7 @@
 #ifndef SGL_SGL_INTERPRETER_H_
 #define SGL_SGL_INTERPRETER_H_
 
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -66,6 +67,35 @@ class LocalStack {
   std::vector<std::pair<std::string, Value>> entries_;
 };
 
+/// One aggregate call site's batch of probes, handed to
+/// AggregateProvider::EvalBatch: lane i (0 <= i < n) probes aggregate
+/// `agg_index` for the unit at row lo + i. Every column is a lane vector
+/// indexed by i.
+///
+/// The probe side is the aggregate signature's per-unit half (see
+/// AggregateSignature::ProbeValues): one value column per partition value
+/// and present range bound, in that order, and one 0/1 column per probe
+/// filter. A caller that did not compute it leaves has_probe false, and
+/// providers then derive it per lane, exactly as Eval does.
+///
+/// A result occupies `nout` doubles: one for a scalar aggregate, else one
+/// per field of the declaration's row layout (AggregateResultWidth).
+struct AggBatch {
+  int32_t agg_index = -1;
+  RowId lo = 0;
+  int32_t n = 0;
+  const uint8_t* active = nullptr;      // n lane flags, 1 = probe the lane
+  const double* const* args = nullptr;  // scalar arguments (after the unit)
+  int32_t num_args = 0;
+  bool has_probe = false;
+  const double* const* probe_values = nullptr;
+  int32_t num_probe_values = 0;
+  const uint8_t* const* probe_filters = nullptr;
+  int32_t num_probe_filters = 0;
+  double* const* out = nullptr;  // nout result columns
+  int32_t nout = 0;
+};
+
 /// Pluggable aggregate evaluation — the seam between the naive and the
 /// indexed engines (Section 6's two "pluggable versions of the aggregate
 /// query evaluator"). The interpreter calls Eval for every aggregate;
@@ -85,7 +115,47 @@ class AggregateProvider {
                              const std::vector<Value>& scalar_args,
                              RowId u_row, const EnvironmentTable& table,
                              const TickRandom& rnd, int32_t shard = 0) = 0;
+
+  /// Set-at-a-time probing: answer every active lane of `batch` at once,
+  /// writing lane i's result to out[0..nout)[i] and 0 to every column of
+  /// each inactive lane. The batch VM calls this once per aggregate call
+  /// site per batch; Eval stays the per-unit reference path.
+  ///
+  /// Contract, lane by lane: each active lane's doubles equal (==) what
+  /// Eval would return for that unit and its arguments, and the
+  /// bookkeeping (probe tallies, memo entries) is what the per-lane
+  /// calls would have recorded. A batch may fail whenever it is unsure —
+  /// the caller then re-runs its units one at a time through Eval, which
+  /// reports any real error — but it never succeeds where a lane's Eval
+  /// would fail. The same `shard` rules as Eval apply.
+  ///
+  /// The default answers each active lane through Eval and unboxes it.
+  virtual Status EvalBatch(const AggBatch& batch,
+                           const EnvironmentTable& table,
+                           const TickRandom& rnd, int32_t shard = 0);
 };
+
+/// Doubles one result of aggregate `agg_index` occupies in a batch: 1 for
+/// a scalar aggregate, else its row layout's field count.
+int32_t AggregateResultWidth(const Script& script, int32_t agg_index);
+
+/// Box `nout` result doubles into the Value Eval returns: a scalar, or a
+/// row carrying the declaration's layout.
+Value BoxAggregateResult(const Script& script, int32_t agg_index,
+                         const double* vals);
+
+/// Unbox an aggregate result into `nout` doubles; false if its shape is
+/// not that of a width-`nout` result.
+bool UnboxAggregateResult(const Value& v, int32_t nout, double* vals);
+
+/// Answer `batch` one lane at a time through `eval` (an Eval-shaped call
+/// taking the lane's boxed arguments and unit row), unboxing each result
+/// into the output columns; inactive lanes get 0. The reference loop
+/// behind the default EvalBatch and every provider's per-unit fallback.
+Status EvalBatchByLane(
+    const AggBatch& batch,
+    const std::function<Result<Value>(const std::vector<Value>&, RowId)>&
+        eval);
 
 /// Pluggable action application. The naive engine scans E per update
 /// statement (the literal Eq. (4) semantics); the indexed engine resolves
@@ -129,8 +199,8 @@ class Interpreter {
   void set_action_sink(ActionSink* sink) { sink_ = sink; }
 
   /// The installed plugins (nullptr = naive built-in evaluation). The
-  /// batch VM routes its scalar aggregate-probe and perform opcodes
-  /// through the same plugins the interpreter would use.
+  /// batch VM routes its aggregate-probe (AggregateProvider::EvalBatch)
+  /// and perform opcodes through the same plugins the interpreter uses.
   AggregateProvider* aggregate_provider() const { return provider_; }
   ActionSink* action_sink() const { return sink_; }
 

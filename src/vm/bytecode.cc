@@ -155,6 +155,15 @@ void PrintInstr(std::ostringstream& os, size_t pc, const Instr& in,
         os << "#" << in.aux;
       }
       os << "(" << RegList(in.args) << ") [m" << in.mask << "]";
+      if (in.has_probe) {
+        // The probe side the provider receives as batch columns.
+        os << " probe(" << RegList(in.probe_values);
+        for (size_t i = 0; i < in.probe_filters.size(); ++i) {
+          os << (i > 0 || !in.probe_values.empty() ? ", " : "") << "m"
+             << in.probe_filters[i];
+        }
+        os << ")";
+      }
       break;
     case Op::kPerform:
       os << "perform ";

@@ -20,13 +20,24 @@
 //     hoisted prologue — unit- and tick-invariant, annotated by the
 //     disassembler.
 //
+// Aggregate calls: a kAgg site is preceded by the batch instructions
+// computing its probe side — the aggregate signature's partition values,
+// range bounds and probe filters (opt/signature.h), lowered with the
+// declaration's unit tuple bound to the deciding unit and its parameters
+// aliased to the site's argument registers, under the site's mask — so
+// the provider receives every lane's probe as columns (one EvalBatch per
+// site per batch) instead of walking the declaration's AST per unit.
+//
 // Error semantics: instructions that can fail at runtime (div/mod by
 // zero, sqrt of negative) compute branch-free across all lanes and flag
 // errors only under their error mask (the exact lanes on which the
 // interpreter would evaluate the operand, including refined short-circuit
 // masks inside and/or conditions). Any flagged lane aborts the batch and
 // the executor re-runs those units through the interpreter, which then
-// reports the identical per-unit error (vm/vm.h).
+// reports the identical per-unit error (vm/vm.h). A probe side is
+// evaluated whole where the per-unit path may stop early (a false probe
+// filter), so it can flag a lane that would not fail; the re-run then
+// simply succeeds.
 #ifndef SGL_VM_BYTECODE_H_
 #define SGL_VM_BYTECODE_H_
 
@@ -66,14 +77,16 @@ enum class Op : uint8_t {
   kMaskNot,   // mask dst[i] = !mask a[i]
   // ---- scalar opcodes: per-lane loop, active lanes only ----
   kRandom,    // dst[i] = DrawBounded(key[i], int64(a[i]), kRandomRange)
-  kAgg,       // regs[dst..dst+b) = aggregate aux(args...), zero if inactive
+  kAgg,       // regs[dst..dst+b) = aggregate aux(args...), zero if inactive;
+              // one AggregateProvider::EvalBatch call per batch
   kPerform,   // queue pending perform of PerformSig aux with args regs
 };
 
 const char* OpName(Op op);
 
-/// True for opcodes the VM cannot vectorize (per-lane callbacks into the
-/// aggregate provider / effect sink / RNG).
+/// True for opcodes that do per-lane work outside the register file
+/// (aggregate probes, effect emission, RNG draws); each active lane
+/// counts as one scalar lane-op.
 bool OpIsScalar(Op op);
 
 /// One instruction. Operand meaning varies by opcode (see Op comments):
@@ -91,6 +104,13 @@ struct Instr {
   int32_t aux = -1;
   int32_t line = 0;                // source line (error context)
   std::vector<int32_t> args;       // kAgg / kPerform argument registers
+  // kAgg only: the aggregate's probe side, computed by ordinary batch
+  // instructions ahead of the site under its mask (has_probe false when
+  // the site has none: no signature handed in, a naive-scan signature,
+  // or a probe side the compiler declined).
+  bool has_probe = false;
+  std::vector<int32_t> probe_values;   // f64 registers, ProbeValues order
+  std::vector<int32_t> probe_filters;  // mask registers, one per filter
 };
 
 /// Compile-time shape of one perform argument, used at flush time to

@@ -57,7 +57,10 @@ uint64_t BitsOf(double v) {
 
 class Compiler {
  public:
-  explicit Compiler(const Script& script) : script_(&script) {}
+  explicit Compiler(
+      const Script& script,
+      const std::vector<AggregateSignature>* signatures = nullptr)
+      : script_(&script), signatures_(signatures) {}
 
   /// Lower one aggregate declaration to a columnar scan program: the
   /// where condition and every item term (or the row-returning metric)
@@ -533,6 +536,10 @@ class Compiler {
       in.args.push_back(reg);
     }
     in.c = static_cast<int32_t>(in.args.size());
+    if (signatures_ != nullptr &&
+        static_cast<size_t>(e.call_id) < signatures_->size()) {
+      CompileProbeSide((*signatures_)[e.call_id], decl, &in);
+    }
     const bool is_row = decl.ReturnsRow() || decl.items.size() > 1;
     std::shared_ptr<const RowLayout> layout = script_->agg_layouts[e.call_id];
     const int32_t nout =
@@ -547,6 +554,46 @@ class Compiler {
     for (int32_t k = 0; k < nout; ++k) out.regs.push_back(dst0 + k);
     if (is_row) out.layout = std::move(layout);
     return out;
+  }
+
+  /// Lower aggregate `decl`'s probe side (sig.ProbeValues() and
+  /// sig.probe_filters) for a kAgg site: the declaration's unit tuple is
+  /// the deciding unit, its scalar parameters alias the site's argument
+  /// registers, and every instruction runs under the site's mask, so the
+  /// usual error masks flag exactly the lanes that reach the probe. A
+  /// naive-scan signature has no probe side; one the compiler cannot
+  /// lower leaves the site without it (the provider then derives it per
+  /// lane), and any instructions already emitted only compute unused
+  /// registers — their error flags, if any, send the batch down the
+  /// interpreter path, which is always safe.
+  void CompileProbeSide(const AggregateSignature& sig,
+                        const AggregateDecl& decl, Instr* in) {
+    if (sig.kind == IndexKind::kNaive) return;
+    Frame frame{&decl.params[0], {}};
+    for (size_t i = 1; i < decl.params.size(); ++i) {
+      frame.locals.push_back(LocalEntry{
+          decl.params[i],
+          CVal{ValueKind::kScalar, {in->args[i - 1]}, nullptr},
+          false});
+    }
+    frames_.push_back(std::move(frame));
+    auto lower = [&]() -> Status {
+      for (const Expr* expr : sig.ProbeValues()) {
+        SGL_ASSIGN_OR_RETURN(int32_t reg, CompileScalar(*expr, "probe values"));
+        in->probe_values.push_back(reg);
+      }
+      for (const Cond* filter : sig.probe_filters) {
+        SGL_ASSIGN_OR_RETURN(int32_t mask, CompileCond(*filter));
+        in->probe_filters.push_back(mask);
+      }
+      return Status::OK();
+    };
+    in->has_probe = lower().ok();
+    frames_.pop_back();
+    if (!in->has_probe) {
+      in->probe_values.clear();
+      in->probe_filters.clear();
+    }
   }
 
   Result<CVal> CompileBuiltin(const Expr& e) {
@@ -762,6 +809,9 @@ class Compiler {
   }
 
   const Script* script_;
+  // Per-aggregate signatures whose probe sides kAgg sites compute (null
+  // or empty: no site gets one).
+  const std::vector<AggregateSignature>* signatures_;
   std::unique_ptr<CompiledProgram> prog_;
   std::vector<Instr> prologue_;  // hoisted kConst loads
   std::vector<Instr> body_;
@@ -784,9 +834,10 @@ class Compiler {
 
 }  // namespace
 
-Result<std::unique_ptr<CompiledProgram>> CompileProgram(const Script& script) {
+Result<std::unique_ptr<CompiledProgram>> CompileProgram(
+    const Script& script, const std::vector<AggregateSignature>& signatures) {
   SGL_ASSIGN_OR_RETURN(std::unique_ptr<CompiledProgram> prog,
-                       Compiler(script).Run());
+                       Compiler(script, &signatures).Run());
   // Each aggregate declaration gets its own scan compilation (fresh
   // compiler: register spaces are independent). A declined scan is not an
   // error — the kAgg opcode probes that declaration through the

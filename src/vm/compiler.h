@@ -25,7 +25,9 @@
 #define SGL_VM_COMPILER_H_
 
 #include <memory>
+#include <vector>
 
+#include "opt/signature.h"
 #include "sgl/analyzer.h"
 #include "util/status.h"
 #include "vm/bytecode.h"
@@ -35,7 +37,13 @@ namespace vm {
 
 /// Compile `script`'s decision phase to bytecode. The script must outlive
 /// the returned program (the program keeps a pointer for disassembly).
-Result<std::unique_ptr<CompiledProgram>> CompileProgram(const Script& script);
+/// `signatures` (one per aggregate declaration, or empty) give each kAgg
+/// site its probe side: the builder hands them in whenever an aggregate
+/// provider will answer the sites, so it receives the probe values and
+/// filter outcomes as batch columns instead of walking the AST per unit.
+Result<std::unique_ptr<CompiledProgram>> CompileProgram(
+    const Script& script,
+    const std::vector<AggregateSignature>& signatures = {});
 
 }  // namespace vm
 }  // namespace sgl

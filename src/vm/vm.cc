@@ -353,42 +353,48 @@ Status BatchExecutor::RunBatch(const CompiledProgram& prog,
           }
           break;
         }
-        for (int32_t i = 0; i < n && !any_err; ++i) {
-          if (m[i] == 0) {
-            for (int32_t k = 0; k < nout; ++k) Reg(in.dst + k)[i] = 0.0;
-            continue;
-          }
-          call_args_.clear();
-          for (int32_t r : in.args) call_args_.push_back(Value(Reg(r)[i]));
-          Result<Value> v =
-              provider != nullptr
-                  ? provider->Eval(in.aux, call_args_, lo + i, table, rnd,
-                                   shard)
-                  : interp.EvalAggregate(in.aux, call_args_, lo + i, table,
-                                         rnd);
-          // Errors (and any unexpected result shape) re-run the batch
-          // through the interpreter, which reports the exact error.
-          if (!v.ok()) {
-            any_err = true;
-            break;
-          }
-          if (nout == 1) {
-            if (!v->is_scalar()) {
-              any_err = true;
-              break;
-            }
-            Reg(in.dst)[i] = v->scalar();
-          } else {
-            if (!v->is_row() ||
-                static_cast<int32_t>(v->row().vals.size()) != nout) {
-              any_err = true;
-              break;
-            }
-            const std::vector<double>& vals = v->row().vals;
-            for (int32_t k = 0; k < nout; ++k) Reg(in.dst + k)[i] = vals[k];
-          }
-          ++n_scalar_;
+        // The whole site goes to the provider as one batch: argument and
+        // probe-side columns in, result registers out. A failed batch
+        // (a lane error, or any unexpected result shape) re-runs through
+        // the interpreter, which reports the exact error.
+        agg_args_.clear();
+        for (int32_t r : in.args) agg_args_.push_back(Reg(r));
+        agg_probe_.clear();
+        for (int32_t r : in.probe_values) agg_probe_.push_back(Reg(r));
+        agg_filters_.clear();
+        for (int32_t f : in.probe_filters) {
+          agg_filters_.push_back(MaskRow(f));
         }
+        agg_out_.clear();
+        for (int32_t k = 0; k < nout; ++k) agg_out_.push_back(Reg(in.dst + k));
+        AggBatch batch;
+        batch.agg_index = in.aux;
+        batch.lo = lo;
+        batch.n = n;
+        batch.active = m;
+        batch.args = agg_args_.data();
+        batch.num_args = static_cast<int32_t>(agg_args_.size());
+        batch.has_probe = in.has_probe;
+        batch.probe_values = agg_probe_.data();
+        batch.num_probe_values = static_cast<int32_t>(agg_probe_.size());
+        batch.probe_filters = agg_filters_.data();
+        batch.num_probe_filters = static_cast<int32_t>(agg_filters_.size());
+        batch.out = agg_out_.data();
+        batch.nout = nout;
+        Status st;
+        if (provider != nullptr) {
+          st = provider->EvalBatch(batch, table, rnd, shard);
+        } else {
+          st = EvalBatchByLane(
+              batch, [&](const std::vector<Value>& args, RowId u_row) {
+                return interp.EvalAggregate(in.aux, args, u_row, table, rnd);
+              });
+        }
+        if (!st.ok()) {
+          any_err = true;
+          break;
+        }
+        for (int32_t i = 0; i < n; ++i) n_scalar_ += m[i];
         break;
       }
       case Op::kPerform: {

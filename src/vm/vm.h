@@ -5,8 +5,15 @@
 // kMaxBatchLanes units. Batch opcodes execute as one dispatch per opcode
 // per sub-batch — a tight lane loop over columnar register storage, the
 // form compilers auto-vectorize — while the three scalar opcodes (random
-// draws, aggregate probes through AggregateProvider::Eval, and effect
-// emission) iterate active lanes only.
+// draws, aggregate probes, and effect emission) touch active lanes only.
+// An aggregate site (kAgg) with a provider installed makes one
+// AggregateProvider::EvalBatch call per batch: its active-lane mask,
+// argument columns and probe-side columns (partition values, range
+// bounds and probe-filter outcomes, computed by the ordinary batch
+// instructions before it) go in, and the provider writes the site's
+// result registers directly. Without a provider the site runs the
+// declaration's vectorized scan per active lane, or the interpreter's
+// reference scan when none compiled.
 //
 // Bit-exactness contract with the interpreter:
 //   * Performs are queued during evaluation and flushed after the batch in
@@ -18,9 +25,12 @@
 //     branch-free over all lanes and raise a flag only under their error
 //     mask — the exact lanes on which the interpreter's evaluation order
 //     (including and/or short-circuiting) would reach the operand. Any
-//     flagged lane aborts the batch before any effect is emitted and the
-//     whole sub-batch re-runs per-unit through Interpreter::RunUnit, which
-//     reproduces the identical per-unit error and partial effect log.
+//     flagged lane — or a failed EvalBatch, which may fail whenever it is
+//     unsure but never succeeds where a lane would fail — aborts the
+//     batch before any effect is emitted, and the whole sub-batch re-runs
+//     per-unit through Interpreter::RunUnit (aggregates then go through
+//     the provider's per-unit Eval), which reproduces the identical
+//     per-unit error and partial effect log.
 //
 // One executor serves one ParallelFor chunk (a batch = a chunk), so all
 // scratch state is private and the only shared writes — the program's
@@ -146,7 +156,13 @@ class BatchExecutor {
 
   std::vector<Pending> pending_;
   std::vector<Value> pending_args_;
-  std::vector<Value> call_args_;  // scratch for plugin calls
+  std::vector<Value> call_args_;  // scratch for action-sink calls
+
+  // Scratch column tables of one kAgg site's AggBatch.
+  std::vector<const double*> agg_args_;
+  std::vector<const double*> agg_probe_;
+  std::vector<const uint8_t*> agg_filters_;
+  std::vector<double*> agg_out_;
 
   obs::Tracer* tracer_ = nullptr;
 

@@ -8,6 +8,7 @@
 // rebuilds.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -361,6 +362,7 @@ TEST(AdaptiveExplainTest, SnapshotRestoreStaysBitExact) {
   ASSERT_NE(sim, nullptr);
   ASSERT_TRUE(sim->Run(10).ok());
   const std::string dir = ::testing::TempDir() + "/adaptive_ckpt";
+  std::filesystem::remove_all(dir);  // no world left by an earlier run
   ASSERT_TRUE(sim->Checkpoint(dir).ok());
   ASSERT_TRUE(sim->Run(15).ok());
   EnvironmentTable after = sim->table().Clone();

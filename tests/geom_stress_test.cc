@@ -16,7 +16,6 @@
 #include "geom/minmax_tree.h"
 #include "geom/range_tree.h"
 #include "geom/spatial_hash.h"
-#include "geom/sweepline.h"
 #include "util/rng.h"
 
 namespace sgl {
@@ -205,45 +204,6 @@ TEST_P(Distributions, KdNearestInRect) {
     ASSERT_EQ(want.found(), got.found());
     if (want.found()) {
       ASSERT_EQ(want.key, got.key);
-    }
-  }
-}
-
-TEST_P(Distributions, SweepLineConstantExtent) {
-  auto [dist, n] = GetParam();
-  World w = MakeWorld(dist, n, 61);
-  SweepLineExtremum sweep(w.points, w.values, w.keys,
-                          SweepLineExtremum::Mode::kMax);
-  Xoshiro256 rng(67);
-  const double ry = (w.hi - w.lo) / 10.0;
-  std::vector<SweepProbe> probes;
-  const int32_t num_probes = 100;
-  for (int32_t i = 0; i < num_probes; ++i) {
-    double span = w.hi - w.lo;
-    probes.push_back(SweepProbe{w.lo + rng.NextDouble() * span,
-                                w.lo + rng.NextDouble() * span,
-                                rng.NextDouble() * span / 8.0, i});
-  }
-  std::vector<Extremum> got(num_probes);
-  sweep.Run(probes, ry, &got);
-  for (const SweepProbe& pr : probes) {
-    Rect rect = Rect::Around(pr.cx, pr.cy, pr.rx, ry);
-    bool found = false;
-    double best = 0;
-    int64_t best_key = 0;
-    for (const PointRef& p : w.points) {
-      if (!rect.Contains(p.x, p.y)) continue;
-      double v = w.values[p.id];
-      if (!found || v > best || (v == best && w.keys[p.id] < best_key)) {
-        found = true;
-        best = v;
-        best_key = w.keys[p.id];
-      }
-    }
-    ASSERT_EQ(found, got[pr.id].valid());
-    if (found) {
-      ASSERT_EQ(best_key, got[pr.id].key);
-      ASSERT_DOUBLE_EQ(best, got[pr.id].value);
     }
   }
 }

@@ -11,7 +11,6 @@
 #include "geom/minmax_tree.h"
 #include "geom/range_tree.h"
 #include "geom/spatial_hash.h"
-#include "geom/sweepline.h"
 #include "util/rng.h"
 
 namespace sgl {
@@ -211,93 +210,6 @@ TEST(MinMaxTree, TieBreakIsSmallestKey) {
   MinMaxRangeTree2D tree(pts, vals, keys, MinMaxRangeTree2D::Mode::kMin);
   Extremum e = tree.Query(Rect{0, 10, 0, 10});
   EXPECT_EQ(10, e.key);
-}
-
-// --------------------------------------------------------------- SweepLine
-
-class SweepSizes : public ::testing::TestWithParam<int32_t> {};
-
-TEST_P(SweepSizes, MinMatchesBruteForce) {
-  const int32_t n = GetParam();
-  TestWorld w = MakeWorld(n, 17 + n);
-  SweepLineExtremum sweep(w.points, w.values, w.keys,
-                          SweepLineExtremum::Mode::kMin);
-  Xoshiro256 rng(23);
-  const double ry = 15.0;
-  std::vector<SweepProbe> probes;
-  const int32_t num_probes = 120;
-  for (int32_t i = 0; i < num_probes; ++i) {
-    probes.push_back(SweepProbe{static_cast<double>(rng.NextBounded(200)),
-                                static_cast<double>(rng.NextBounded(200)),
-                                static_cast<double>(rng.NextBounded(30)), i});
-  }
-  std::vector<Extremum> got(num_probes);
-  sweep.Run(probes, ry, &got);
-  for (const SweepProbe& pr : probes) {
-    Rect rect = Rect::Around(pr.cx, pr.cy, pr.rx, ry);
-    Extremum want = Extremum::None();
-    for (const PointRef& p : w.points) {
-      if (rect.Contains(p.x, p.y)) {
-        want = Extremum::Min(want, Extremum{w.values[p.id], w.keys[p.id]});
-      }
-    }
-    ASSERT_EQ(want.valid(), got[pr.id].valid()) << "probe " << pr.id;
-    if (want.valid()) {
-      ASSERT_DOUBLE_EQ(want.value, got[pr.id].value);
-      ASSERT_EQ(want.key, got[pr.id].key);
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, SweepSizes,
-                         ::testing::Values(1, 3, 10, 50, 300, 900));
-
-TEST(SweepBatch, MixedExtentsMatchBruteForce) {
-  TestWorld w = MakeWorld(400, 67);
-  SweepBatch batch(w.points, w.values, w.keys, SweepLineExtremum::Mode::kMax);
-  Xoshiro256 rng(41);
-  struct Probe {
-    double cx, cy, rx, ry;
-  };
-  std::vector<Probe> probes;
-  for (int32_t i = 0; i < 100; ++i) {
-    Probe p{static_cast<double>(rng.NextBounded(200)),
-            static_cast<double>(rng.NextBounded(200)),
-            static_cast<double>(rng.NextBounded(25)),
-            static_cast<double>(5 + 10 * rng.NextBounded(3))};  // 3 extents
-    probes.push_back(p);
-    batch.AddProbe(p.cx, p.cy, p.rx, p.ry, i);
-  }
-  std::vector<Extremum> got(probes.size());
-  batch.Run(&got);
-  for (size_t i = 0; i < probes.size(); ++i) {
-    Rect rect =
-        Rect::Around(probes[i].cx, probes[i].cy, probes[i].rx, probes[i].ry);
-    bool found = false;
-    double best = 0.0;
-    int64_t best_key = 0;
-    for (const PointRef& p : w.points) {
-      if (!rect.Contains(p.x, p.y)) continue;
-      double v = w.values[p.id];
-      if (!found || v > best || (v == best && w.keys[p.id] < best_key)) {
-        found = true;
-        best = v;
-        best_key = w.keys[p.id];
-      }
-    }
-    ASSERT_EQ(found, got[i].valid()) << "probe " << i;
-    if (found) {
-      ASSERT_DOUBLE_EQ(best, got[i].value);
-      ASSERT_EQ(best_key, got[i].key);
-    }
-  }
-}
-
-TEST(SweepLine, EmptyPoints) {
-  SweepLineExtremum sweep({}, {}, {}, SweepLineExtremum::Mode::kMin);
-  std::vector<Extremum> out(1);
-  sweep.Run({SweepProbe{0, 0, 10, 0}}, 10.0, &out);
-  EXPECT_FALSE(out[0].valid());
 }
 
 // ----------------------------------------------------------------- KdTree

@@ -1,13 +1,23 @@
 // Optimizer tests: signature extraction (Section 5.3's conjunct
-// classification), index-family sharing, and indexed-vs-naive agreement
-// at the provider level.
+// classification), index-family sharing, indexed-vs-naive agreement at
+// the provider level, and batch-vs-per-unit agreement at the EvalBatch
+// seam.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <functional>
+#include <limits>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "engine/simulation.h"
 #include "exec/thread_pool.h"
 #include "game/battle.h"
 #include "opt/action_sink.h"
+#include "opt/adaptive_provider.h"
 #include "opt/indexed_provider.h"
+#include "opt/sharing.h"
 #include "opt/signature.h"
 #include "scenario/scenario.h"
 
@@ -423,6 +433,324 @@ TEST(ProviderAgreementScenarios, ScenarioScriptsMatchNaive) {
   }
   ExpectProviderMatchesNaive(Compile(kFusionScript), BattleWorld(9), 9,
                              &pool);
+}
+
+// ------------------------------------------------------- the EvalBatch seam
+
+// One aggregate call site's batch as the VM hands it over: lanes
+// [lo, lo + n) under a random active mask, a random radius per lane for
+// every scalar parameter, and the probe side evaluated with the
+// interpreter. Inactive lanes carry NaN arguments and probe values, and
+// every output column starts at a sentinel, so a provider that reads or
+// skips the wrong lanes shows.
+struct SeamBatch {
+  std::vector<uint8_t> active;
+  std::vector<std::vector<double>> args;
+  std::vector<std::vector<double>> values;
+  std::vector<std::vector<uint8_t>> filters;
+  std::vector<std::vector<double>> out;
+  std::vector<const double*> arg_cols;
+  std::vector<const double*> value_cols;
+  std::vector<const uint8_t*> filter_cols;
+  std::vector<double*> out_cols;
+  AggBatch batch;
+
+  /// The lane's arguments, boxed as Eval takes them.
+  std::vector<Value> LaneArgs(int32_t i) const {
+    std::vector<Value> v;
+    for (const std::vector<double>& col : args) v.push_back(Value(col[i]));
+    return v;
+  }
+};
+
+std::unique_ptr<SeamBatch> MakeSeamBatch(const Script& script,
+                                         const Interpreter& interp,
+                                         int32_t agg,
+                                         const EnvironmentTable& table,
+                                         const TickRandom& rnd, RowId lo,
+                                         int32_t n, Xoshiro256* rng) {
+  constexpr double kSentinel = 12345.0;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const AggregateDecl& decl = script.program.aggregates[agg];
+  auto sig = ExtractSignature(script, agg);
+  EXPECT_TRUE(sig.ok()) << sig.status().ToString();
+  auto b = std::make_unique<SeamBatch>();
+  b->active.resize(n);
+  for (int32_t i = 0; i < n; ++i) b->active[i] = rng->NextBounded(4) != 0;
+  const double radii[] = {2, 6, 8, 24};
+  b->args.assign(decl.params.size() - 1, std::vector<double>(n, nan));
+  for (std::vector<double>& col : b->args) {
+    for (int32_t i = 0; i < n; ++i) {
+      if (b->active[i]) col[i] = radii[rng->NextBounded(4)];
+    }
+  }
+  const bool has_probe = sig->kind != IndexKind::kNaive;
+  const std::vector<const Expr*> exprs =
+      has_probe ? sig->ProbeValues() : std::vector<const Expr*>{};
+  const size_t num_filters = has_probe ? sig->probe_filters.size() : 0;
+  b->values.assign(exprs.size(), std::vector<double>(n, nan));
+  b->filters.assign(num_filters, std::vector<uint8_t>(n, 7));
+  for (int32_t i = 0; i < n; ++i) {
+    if (!b->active[i]) continue;
+    const RowId u = lo + i;
+    LocalStack locals;
+    for (size_t p = 1; p < decl.params.size(); ++p) {
+      locals.Push(decl.params[p], Value(b->args[p - 1][i]));
+    }
+    for (size_t v = 0; v < exprs.size(); ++v) {
+      auto val = interp.EvalExprIn(*exprs[v], table, &decl.params[0], u,
+                                   nullptr, -1, &locals, rnd, table.KeyAt(u));
+      EXPECT_TRUE(val.ok() && val->is_scalar());
+      b->values[v][i] = val->scalar();
+    }
+    for (size_t f = 0; f < num_filters; ++f) {
+      auto pass = interp.EvalCondIn(*sig->probe_filters[f], table,
+                                    &decl.params[0], u, nullptr, -1, &locals,
+                                    rnd, table.KeyAt(u));
+      EXPECT_TRUE(pass.ok());
+      b->filters[f][i] = *pass ? 1 : 0;
+    }
+  }
+  const int32_t nout = AggregateResultWidth(script, agg);
+  b->out.assign(nout, std::vector<double>(n, kSentinel));
+  for (const auto& col : b->args) b->arg_cols.push_back(col.data());
+  for (const auto& col : b->values) b->value_cols.push_back(col.data());
+  for (const auto& col : b->filters) b->filter_cols.push_back(col.data());
+  for (auto& col : b->out) b->out_cols.push_back(col.data());
+  AggBatch& batch = b->batch;
+  batch.agg_index = agg;
+  batch.lo = lo;
+  batch.n = n;
+  batch.active = b->active.data();
+  batch.args = b->arg_cols.data();
+  batch.num_args = static_cast<int32_t>(b->arg_cols.size());
+  batch.has_probe = has_probe;
+  batch.probe_values = b->value_cols.data();
+  batch.num_probe_values = static_cast<int32_t>(b->value_cols.size());
+  batch.probe_filters = b->filter_cols.data();
+  batch.num_probe_filters = static_cast<int32_t>(b->filter_cols.size());
+  batch.out = b->out_cols.data();
+  batch.nout = nout;
+  return b;
+}
+
+/// EvalBatch on `batch_side` must equal per-lane Eval on `lane_side`
+/// (the same provider, or an identically built twin) with exact `==` on
+/// every output double, and leave inactive lanes 0.
+/// `between` (optional) runs after the batch and before the lanes.
+void ExpectBatchMatchesLanes(AggregateProvider* batch_side,
+                             AggregateProvider* lane_side, SeamBatch* b,
+                             const EnvironmentTable& table,
+                             const TickRandom& rnd, const std::string& what,
+                             const std::function<void()>& between = nullptr) {
+  const AggBatch& batch = b->batch;
+  ASSERT_TRUE(batch_side->EvalBatch(batch, table, rnd).ok()) << what;
+  if (between) between();
+  std::vector<double> want(batch.nout);
+  for (int32_t i = 0; i < batch.n; ++i) {
+    if (!b->active[i]) {
+      for (int32_t k = 0; k < batch.nout; ++k) {
+        ASSERT_EQ(0.0, b->out[k][i]) << what << " inactive lane " << i;
+      }
+      continue;
+    }
+    auto v = lane_side->Eval(batch.agg_index, b->LaneArgs(i), batch.lo + i,
+                             table, rnd);
+    ASSERT_TRUE(v.ok()) << what << ": " << v.status().ToString();
+    ASSERT_TRUE(UnboxAggregateResult(*v, batch.nout, want.data())) << what;
+    for (int32_t k = 0; k < batch.nout; ++k) {
+      ASSERT_TRUE(want[k] == b->out[k][i])
+          << what << " lane " << i << " column " << k << ": Eval "
+          << want[k] << " EvalBatch " << b->out[k][i];
+    }
+  }
+}
+
+/// Every aggregate of `script`, in 256-lane windows over `table`.
+template <typename Fn>
+void ForEachSeamBatch(const Script& script, const Interpreter& interp,
+                      const EnvironmentTable& table, const TickRandom& rnd,
+                      uint64_t seed, Fn fn) {
+  Xoshiro256 rng(seed);
+  for (int32_t agg = 0;
+       agg < static_cast<int32_t>(script.program.aggregates.size()); ++agg) {
+    for (RowId lo = 0; lo < table.NumRows(); lo += 256) {
+      const int32_t n = std::min<RowId>(256, table.NumRows() - lo);
+      auto b = MakeSeamBatch(script, interp, agg, table, rnd, lo, n, &rng);
+      fn(b.get(), script.program.aggregates[agg].name);
+    }
+  }
+}
+
+/// `all_paths`: the script is known to reach every provider path checked
+/// for (scan mode, delta overlays, memo entries), so their absence fails.
+void ExpectSeamAgreement(const Script& script, const EnvironmentTable& world,
+                         uint64_t seed, bool all_paths) {
+  TickRandom rnd(seed, 0);
+
+  {  // Indexed: the batch must also tally exactly the per-lane probes.
+    Interpreter interp(script);
+    auto provider = IndexedAggregateProvider::Create(script, interp);
+    ASSERT_TRUE(provider.ok()) << provider.status().ToString();
+    ASSERT_TRUE((*provider)->BuildIndexes(world, rnd).ok());
+    IndexedAggregateProvider& p = **provider;
+    ForEachSeamBatch(
+        script, interp, world, rnd, seed,
+        [&](SeamBatch* b, const std::string& name) {
+          const int64_t before = p.probe_count();
+          int64_t batch_probes = 0;
+          ExpectBatchMatchesLanes(
+              &p, &p, b, world, rnd, "indexed " + name,
+              [&] { batch_probes = p.probe_count() - before; });
+          EXPECT_EQ(2 * batch_probes, p.probe_count() - before) << name;
+        });
+  }
+
+  {  // Adaptive: after a first (full) build and some churn, forcing the
+     // delta path leaves range-tree families with an outstanding overlay
+     // and, with no demand observed, the others in scan mode.
+    EnvironmentTable table = world.Clone();
+    table.EnableChangeTracking();
+    Interpreter interp(script);
+    auto provider = AdaptiveAggregateProvider::Create(script, interp);
+    ASSERT_TRUE(provider.ok()) << provider.status().ToString();
+    ASSERT_TRUE((*provider)->BuildIndexes(table, rnd).ok());
+    table.ClearChanges();
+    const AttrId posx = table.schema().Find("posx");
+    const AttrId health = table.schema().Find("health");
+    for (RowId r = 0; r < table.NumRows(); r += 5) {
+      for (AttrId a : {posx, health}) {
+        if (a != Schema::kInvalidAttr) table.Set(r, a, table.Get(r, a) + 1.0);
+      }
+    }
+    const PhysicalChoice incremental = PhysicalChoice::kIncremental;
+    (*provider)->ForceChoiceForTest(&incremental);
+    ASSERT_TRUE((*provider)->BuildIndexes(table, rnd).ok());
+    bool any_scan = false;
+    bool any_incremental = false;
+    for (int32_t f = 0; f < (*provider)->NumIndexFamilies(); ++f) {
+      any_scan |= (*provider)->family_mode(f) == PhysicalChoice::kScan;
+      any_incremental |= (*provider)->family_mode(f) == incremental;
+    }
+    if (all_paths) {
+      EXPECT_TRUE(any_scan) << "no family in scan mode";
+      EXPECT_TRUE(any_incremental) << "no family with a delta overlay";
+    }
+    ForEachSeamBatch(script, interp, table, rnd, seed,
+                     [&](SeamBatch* b, const std::string& name) {
+                       ExpectBatchMatchesLanes(provider->get(),
+                                               provider->get(), b, table, rnd,
+                                               "adaptive " + name);
+                     });
+  }
+
+  {  // Sharing over indexed, over two ticks (the second after the
+     // demotions the first tick's keys earn): twin stacks, one probed
+     // lane by lane and one by batch, must agree on every result and on
+     // every deterministic memo counter (calls, entries, demotions).
+    struct Stack {
+      explicit Stack(const Script& script) : interp(script) {}
+      Interpreter interp;
+      std::unique_ptr<IndexedAggregateProvider> inner;
+      SharingContext ctx;
+      std::unique_ptr<SharingAggregateProvider> sharing;
+      obs::MetricsRegistry metrics;
+    };
+    auto make = [&](Stack* s) {
+      auto inner = IndexedAggregateProvider::Create(script, s->interp);
+      ASSERT_TRUE(inner.ok()) << inner.status().ToString();
+      s->inner = inner.MoveValue();
+      auto sharing = SharingAggregateProvider::Create(
+          script, s->interp, s->inner.get(), &s->ctx, "seam");
+      ASSERT_TRUE(sharing.ok()) << sharing.status().ToString();
+      s->sharing = sharing.MoveValue();
+      s->ctx.set_num_shards(1);
+      s->ctx.BindMetrics(&s->metrics, "sharing.");
+      ASSERT_TRUE(s->inner->BuildIndexes(world, rnd).ok());
+    };
+    Stack lanes(script);
+    Stack batches(script);
+    make(&lanes);
+    make(&batches);
+    for (int32_t tick = 0; tick < 2; ++tick) {
+      lanes.ctx.BeginTick();
+      batches.ctx.BeginTick();
+      ForEachSeamBatch(script, batches.interp, world, rnd, seed + tick,
+                       [&](SeamBatch* b, const std::string& name) {
+                         ExpectBatchMatchesLanes(
+                             batches.sharing.get(), lanes.sharing.get(), b,
+                             world, rnd,
+                             "sharing tick " + std::to_string(tick) + " " +
+                                 name);
+                       });
+    }
+    if (all_paths) EXPECT_GT(lanes.ctx.memo_entries(), 0);
+    EXPECT_EQ(lanes.metrics.Values(/*deterministic_only=*/true),
+              batches.metrics.Values(/*deterministic_only=*/true));
+  }
+}
+
+class SeamAgreement : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(SeamAgreement, BattleAggregatesBatchLikeTheyProbe) {
+  ExpectSeamAgreement(Compile(BattleScriptSource()), BattleWorld(GetParam()),
+                      GetParam(), true);
+}
+
+TEST_P(SeamAgreement, FusionCornerCasesBatchLikeTheyProbe) {
+  ExpectSeamAgreement(Compile(kFusionScript), BattleWorld(GetParam()),
+                      GetParam(), true);
+}
+
+// Probe filters (u-only conjuncts) that fail for part of the army, on
+// every index kind: a failed filter must yield the empty-set result from
+// the batch columns exactly as from per-unit evaluation.
+constexpr const char* kProbeFilterScript = R"(
+  aggregate FoesIfNotArcher(u, r) {
+    select count(*) as n, avg(e.health) as h from E e
+    where e.player <> u.player and u.unittype <> 1
+      and e.posx >= u.posx - r and e.posx <= u.posx + r
+      and e.posy >= u.posy - r and e.posy <= u.posy + r;
+  }
+  aggregate TeamIfNotArcher(u) {
+    select sum(e.health) as h, count(*) as n from E e
+    where e.player = u.player and u.unittype <> 1;
+  }
+  aggregate WeakestFoeIfKnight(u, r) {
+    select argmin(e.health) from E e
+    where e.player <> u.player and u.unittype = 0 and r > 4
+      and e.posx >= u.posx - r and e.posx <= u.posx + r
+      and e.posy >= u.posy - r and e.posy <= u.posy + r;
+  }
+  aggregate NearestFoeIfHealer(u) {
+    select nearest(*) from E e
+    where e.player <> u.player and (u.unittype = 2 or u.cooldown > 0);
+  }
+  function main(u) { let a = TeamIfNotArcher(u); }
+)";
+
+TEST_P(SeamAgreement, ProbeFiltersBatchLikeTheyProbe) {
+  ExpectSeamAgreement(Compile(kProbeFilterScript), BattleWorld(GetParam()),
+                      GetParam(), true);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SeamAgreement, ::testing::Values(1, 2, 3));
+
+TEST(SeamAgreementScenarios, ScenarioScriptsBatchLikeTheyProbe) {
+  for (const std::string& name : ScenarioRegistry::Global().List()) {
+    ScenarioParams params;
+    params.units = 600;
+    params.density = 0.03;
+    auto sim = ScenarioRegistry::Global().BuildSimulation(name, params,
+                                                          SimulationConfig{});
+    ASSERT_TRUE(sim.ok()) << name << ": " << sim.status().ToString();
+    ASSERT_TRUE((*sim)->Run(6).ok()) << name;
+    for (int32_t s = 0; s < (*sim)->NumScripts(); ++s) {
+      SCOPED_TRACE(name + "/" + (*sim)->session(s).name);
+      ExpectSeamAgreement((*sim)->session(s).script, (*sim)->table(), 5 + s,
+                          false);
+    }
+  }
 }
 
 TEST(ActionSink, ClassifiesBattleActions) {

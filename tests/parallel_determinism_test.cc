@@ -8,6 +8,7 @@
 // end-of-tick resurrection mechanics.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <memory>
 #include <set>
 #include <utility>
@@ -250,6 +251,7 @@ TEST(ParallelBattle, SnapshotReplayIsDeterministicWithThreads) {
   ASSERT_TRUE(sim.ok()) << sim.status().ToString();
   ASSERT_TRUE((*sim)->Run(20).ok());
   const std::string dir = ::testing::TempDir() + "/parallel_ckpt";
+  std::filesystem::remove_all(dir);  // no world left by an earlier run
   ASSERT_TRUE((*sim)->Checkpoint(dir).ok());
   ASSERT_TRUE((*sim)->Run(15).ok());
   EnvironmentTable first = (*sim)->table().Clone();

@@ -460,12 +460,19 @@ TEST(Simulation, SetPhaseOrderReordersPipeline) {
   ASSERT_TRUE((*sim)->Run(3).ok());
 }
 
+// A checkpoint directory with nothing left in it from an earlier run.
+std::string FreshCheckpointDir(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + "/" + name;
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
 TEST(Simulation, CheckpointRestoreReplaysDeterministically) {
   auto sim = MakeFarm(EvaluatorMode::kIndexed, 4242);
   ASSERT_TRUE(sim.ok()) << sim.status().ToString();
   ASSERT_TRUE((*sim)->Run(30).ok());
 
-  const std::string dir = ::testing::TempDir() + "/sim_ckpt";
+  const std::string dir = FreshCheckpointDir("sim_ckpt");
   ASSERT_TRUE((*sim)->Checkpoint(dir).ok());
   const EnvironmentTable at_checkpoint = (*sim)->table().Clone();
 
@@ -484,12 +491,6 @@ TEST(Simulation, CheckpointRestoreReplaysDeterministically) {
 }
 
 /// A fresh, empty checkpoint directory under the test tmpdir.
-std::string FreshCheckpointDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/" + name;
-  std::filesystem::remove_all(dir);
-  return dir;
-}
-
 TEST(Simulation, RestoreRejectsForeignSchema) {
   auto sim = MakeFarm(EvaluatorMode::kIndexed, 23);
   ASSERT_TRUE(sim.ok());

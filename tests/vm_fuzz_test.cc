@@ -5,7 +5,8 @@
 // errors), builtins, random(), aggregate probes, and/or/not conditions,
 // if/else nesting, let bindings, user-function inlining — then a
 // compiled and an interpreted simulation of the same small world run 20
-// ticks in lockstep. Any bit divergence in the environment table fails
+// ticks in lockstep, under each evaluator mode (naive, indexed, adaptive;
+// sharing on). Any bit divergence in the environment table fails
 // with the offending script source and tick. Seeds are fixed, so a
 // failure reproduces exactly.
 #include <gtest/gtest.h>
@@ -244,14 +245,15 @@ EnvironmentTable FuzzWorld(const Schema& s, uint64_t seed) {
 }
 
 std::unique_ptr<Simulation> BuildFuzz(const std::string& source, uint64_t seed,
-                                      bool compiled, int32_t threads) {
+                                      EvaluatorMode mode, bool compiled,
+                                      int32_t threads) {
   Schema schema = FuzzSchema();
   auto script = CompileScript(source, schema);
   EXPECT_TRUE(script.ok()) << script.status().ToString();
   if (!script.ok()) return nullptr;
   SimulationConfig config;
-  config.eval_mode = EvaluatorMode::kNaive;
-  config.compiled = compiled;
+  config.eval_mode = mode;
+  config.compiled = compiled;  // sharing stays on (the default)
   config.threads = threads;
   config.seed = seed;
   config.move_x_attr = "";  // the fuzz schema has no movement attributes
@@ -276,22 +278,34 @@ TEST(VmFuzzTest, RandomScriptsStayLockstepWithInterpreter) {
                              << source;
 
     // 4 threads on the compiled side doubles as a chunk-boundary test:
-    // batches must split exactly where the interpreter's chunks do.
+    // batches must split exactly where the interpreter's chunks do. The
+    // indexed and adaptive evaluators put every fuzzed aggregate call
+    // behind the providers' batch seam (sharing on), against their
+    // per-unit Eval on the interpreted side.
     const int32_t threads = seed % 2 == 0 ? 4 : 1;
-    auto compiled = BuildFuzz(source, seed, true, threads);
-    auto interpreted = BuildFuzz(source, seed, false, 1);
-    ASSERT_NE(compiled, nullptr);
-    ASSERT_NE(interpreted, nullptr);
-    if (compiled->session(0).compiled != nullptr) ++compiled_scripts;
+    for (EvaluatorMode mode : {EvaluatorMode::kNaive, EvaluatorMode::kIndexed,
+                               EvaluatorMode::kAdaptive}) {
+      SCOPED_TRACE(EvaluatorModeName(mode));
+      auto compiled = BuildFuzz(source, seed, mode, true, threads);
+      auto interpreted = BuildFuzz(source, seed, mode, false, 1);
+      ASSERT_NE(compiled, nullptr);
+      ASSERT_NE(interpreted, nullptr);
+      if (mode == EvaluatorMode::kNaive &&
+          compiled->session(0).compiled != nullptr) {
+        ++compiled_scripts;
+      }
 
-    for (int64_t tick = 0; tick < kTicks; ++tick) {
-      ASSERT_TRUE(compiled->Tick().ok()) << "seed " << seed << "\n" << source;
-      ASSERT_TRUE(interpreted->Tick().ok())
-          << "seed " << seed << "\n" << source;
-      ASSERT_TRUE(compiled->table().Equals(interpreted->table()))
-          << "seed " << seed << " diverged at tick " << tick << ":\n"
-          << compiled->table().DiffString(interpreted->table()) << "\nscript:\n"
-          << source;
+      for (int64_t tick = 0; tick < kTicks; ++tick) {
+        ASSERT_TRUE(compiled->Tick().ok())
+            << "seed " << seed << "\n" << source;
+        ASSERT_TRUE(interpreted->Tick().ok())
+            << "seed " << seed << "\n" << source;
+        ASSERT_TRUE(compiled->table().Equals(interpreted->table()))
+            << "seed " << seed << " diverged at tick " << tick << ":\n"
+            << compiled->table().DiffString(interpreted->table())
+            << "\nscript:\n"
+            << source;
+      }
     }
   }
   // The generator is tuned so (nearly) every script compiles; if this

@@ -17,6 +17,7 @@
 #include "scenario/scenario.h"
 #include "sgl/analyzer.h"
 #include "vm/compiler.h"
+#include "vm/vm.h"
 
 namespace sgl {
 namespace {
@@ -127,15 +128,18 @@ EnvironmentTable VmWorld(const Schema& s, int32_t units) {
   return t;
 }
 
-std::unique_ptr<Simulation> BuildCustom(const char* source, bool compiled,
-                                        int32_t units = 40) {
+/// Defaults to pure naive evaluation (no provider, sharing off), where
+/// kAgg probes use the vectorized scans.
+std::unique_ptr<Simulation> BuildCustom(
+    const char* source, bool compiled, int32_t units = 40,
+    EvaluatorMode mode = EvaluatorMode::kNaive, bool sharing = false) {
   Schema schema = VmSchema();
   auto script = CompileScript(source, schema);
   EXPECT_TRUE(script.ok()) << script.status().ToString();
   SimulationConfig config;
-  config.eval_mode = EvaluatorMode::kNaive;
+  config.eval_mode = mode;
   config.compiled = compiled;
-  config.sharing = false;  // pure naive: kAgg probes use vectorized scans
+  config.sharing = sharing;
   config.move_x_attr = "";  // no movement attrs in this schema
   auto sim = SimulationBuilder()
                  .SetTable(VmWorld(schema, units))
@@ -171,6 +175,82 @@ TEST(VmErrorTest, RuntimeErrorsAreBitExact) {
   EXPECT_EQ(vm_status.ToString(), interp_status.ToString());
   EXPECT_NE(vm_status.ToString().find("division by zero"), std::string::npos)
       << vm_status.ToString();
+}
+
+// A probe-side range bound that fails for one unit (100 / u.hp, and hp is
+// 0 on key 7): the kAgg site's compiled probe side flags that lane, the
+// batch re-runs through the interpreter, and the provider's per-unit Eval
+// reports the error. Compiled and interpreted runs must return the
+// identical error and the identical partial effect log (the units before
+// key 7), with sharing on and off.
+TEST(VmErrorTest, ProbeSideErrorsAreBitExact) {
+  const char* source = R"(
+    aggregate Near(u) { select count(*) from E e
+                        where e.player != u.player
+                          and e.posx >= u.posx - 100 / u.hp
+                          and e.posx <= u.posx + 3; }
+    action Hit(u, amount) { update e where e.key = u.key
+                            set damage += amount; }
+    function main(u) {
+      let n = Near(u);
+      perform Hit(u, n + 1);
+    }
+  )";
+  for (bool sharing : {true, false}) {
+    SCOPED_TRACE(sharing ? "sharing on" : "sharing off");
+    auto compiled =
+        BuildCustom(source, true, 40, EvaluatorMode::kIndexed, sharing);
+    auto interpreted =
+        BuildCustom(source, false, 40, EvaluatorMode::kIndexed, sharing);
+    ASSERT_NE(compiled, nullptr);
+    ASSERT_NE(interpreted, nullptr);
+    const ScriptSession& session = compiled->session(0);
+    ASSERT_NE(session.compiled, nullptr) << session.compile_note;
+    // The site must carry its compiled probe side: the error path under
+    // test is that side's flag, not a per-lane fallback.
+    bool site_has_probe = false;
+    for (const vm::Instr& in : session.compiled->code) {
+      if (in.op == vm::Op::kAgg) site_has_probe |= in.has_probe;
+    }
+    ASSERT_TRUE(site_has_probe) << session.compiled->Disassemble();
+
+    Status vm_status = compiled->Tick();
+    Status interp_status = interpreted->Tick();
+    ASSERT_FALSE(vm_status.ok());
+    EXPECT_EQ(vm_status.ToString(), interp_status.ToString());
+    EXPECT_NE(vm_status.ToString().find("division by zero"),
+              std::string::npos)
+        << vm_status.ToString();
+    EXPECT_TRUE(compiled->table().Equals(interpreted->table()))
+        << compiled->table().DiffString(interpreted->table());
+
+    // The effect log itself: one batch executor over every unit against
+    // the interpreter unit by unit, on the same (freshly built) indexes.
+    const EnvironmentTable& table = compiled->table();
+    const TickRandom rnd(compiled->config().seed, 0);
+    ASSERT_TRUE(session.provider->BuildIndexes(table, rnd).ok());
+    EffectBuffer via_vm;
+    via_vm.Begin(table);
+    vm::BatchExecutor exec;
+    Status vm_run = exec.Run(*session.compiled, *session.interp, table, 0,
+                             table.NumRows(), rnd, &via_vm, 0);
+    EffectBuffer via_interp;
+    via_interp.Begin(table);
+    Status interp_run = Status::OK();
+    for (RowId r = 0; r < table.NumRows() && interp_run.ok(); ++r) {
+      interp_run = session.interp->RunUnit(table, r, rnd, &via_interp, 0);
+    }
+    ASSERT_FALSE(vm_run.ok());
+    EXPECT_EQ(vm_run.ToString(), interp_run.ToString());
+    const AttrId damage = table.schema().Find("damage");
+    int32_t hit = 0;
+    for (RowId r = 0; r < table.NumRows(); ++r) {
+      EXPECT_EQ(via_vm.Get(r, damage), via_interp.Get(r, damage))
+          << "row " << r;
+      hit += via_interp.Get(r, damage) != 0.0;
+    }
+    EXPECT_EQ(hit, 7) << "units before key 7 perform, the rest do not";
+  }
 }
 
 // A runtime error inside an action's update expressions: the vectorized
