@@ -122,10 +122,6 @@ Status IndexBuildPhase::Run(TickContext* ctx) {
                                                       ctx->pool, &pstats));
     ctx->stats->AddRowsScanned(ctx->table->NumRows());
   }
-  // All sessions have consumed this change window (the writes since the
-  // previous index build); open the next one. No-op unless the adaptive
-  // evaluator enabled tracking.
-  if (ctx->table->change_tracking_enabled()) ctx->table->ClearChanges();
   ctx->stats->NoteWorkers(pstats.workers);
   ctx->stats->AddMaxWorkerNs(pstats.max_worker_ns);
   return Status::OK();

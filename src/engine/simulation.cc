@@ -398,14 +398,6 @@ std::string Simulation::DescribePlan() const {
 Status Simulation::InstallWorld(EnvironmentTable table, int64_t tick) {
   table_ = std::move(table);
   tick_count_ = tick;
-  if (config_.eval_mode == EvaluatorMode::kAdaptive) {
-    // The replaced table invalidates every delta-maintained adaptive
-    // index family; a structural change forces full rebuilds on the
-    // next tick.
-    table_.EnableChangeTracking();
-    table_.ClearChanges();
-    table_.MarkStructuralChange();
-  }
   if (store_ != nullptr) {
     // Clone() strips the listener, so every install must re-attach it
     // (which opens an empty storage window), then commit the store to
@@ -603,11 +595,6 @@ Result<std::unique_ptr<Simulation>> SimulationBuilder::Build() {
   sim->name_ = std::move(name_);
   sim->config_ = config_;
   const Schema& schema = sim->table_.schema();
-  if (config_.eval_mode == EvaluatorMode::kAdaptive) {
-    // The adaptive evaluator consumes the table's delta log each tick
-    // (IndexBuildPhase clears it after every session has built).
-    sim->table_.EnableChangeTracking();
-  }
 
   // --- worker threads ----------------------------------------------------
   // An injected shared executor (the serving layer's pool) wins over the

@@ -69,9 +69,7 @@ class WorldStore;
 ///   kNaive    reference scans per aggregate and action;
 ///   kIndexed  Section 5.3/5.4 index structures, rebuilt every tick;
 ///   kAdaptive per index family and per tick, a calibrated cost model
-///             (src/opt/cost.h) picks scan fallback, full rebuild, or —
-///             for divisible range-tree families under low churn —
-///             incremental maintenance from the tick's delta log.
+///             (src/opt/cost.h) picks scan fallback or full rebuild.
 enum class EvaluatorMode { kNaive, kIndexed, kAdaptive };
 
 const char* EvaluatorModeName(EvaluatorMode mode);

@@ -26,10 +26,6 @@ Status EnvironmentTable::AddRowWithKey(int64_t key,
   if (key_to_row_.count(key) > 0) {
     return Status::AlreadyExists("key ", key, " already present");
   }
-  if (tracking_) {
-    changes_.structural = true;
-    changes_.masks.push_back(0);
-  }
   RowId row = NumRows();
   keys_.push_back(key);
   for (size_t c = 0; c < cols_.size(); ++c) cols_[c].push_back(values[c]);
@@ -49,45 +45,24 @@ void EnvironmentTable::ResetEffects() {
   // effect-free tick a no-op even for max/min-tagged attributes.
   for (AttrId a : schema_.EffectAttrs()) {
     std::vector<double>& col = cols_[a - 1];
-    if (watched_) {
+    if (listener_ != nullptr) {
       for (RowId r = 0; r < NumRows(); ++r) {
-        if (col[r] != 0.0) NoteWrite(r, a);
+        if (col[r] != 0.0) Mark(r, a);
       }
     }
     std::fill(col.begin(), col.end(), 0.0);
   }
 }
 
-void EnvironmentTable::EnableChangeTracking() {
-  if (tracking_) return;
-  tracking_ = true;
-  watched_ = true;
-  changes_.masks.assign(keys_.size(), 0);
-  // No change window exists yet; make the first consumer rebuild.
-  changes_.structural = true;
-}
-
-void EnvironmentTable::ClearChanges() { Clear(&changes_); }
-
 void EnvironmentTable::SetDeltaListener(TableDeltaListener* listener) {
   listener_ = listener;
-  watched_ = tracking_ || listener_ != nullptr;
   storage_changes_ = TableChanges();
   if (listener_ != nullptr) storage_changes_.masks.assign(keys_.size(), 0);
 }
 
-void EnvironmentTable::Clear(TableChanges* window) {
-  window->structural = false;
-  for (RowId r : window->dirty_rows) window->masks[r] = 0;
-  window->dirty_rows.clear();
-}
-
-void EnvironmentTable::Compact(TableChanges* window, RowId num_rows) {
-  window->masks.resize(num_rows);
-  window->dirty_rows.clear();
-  for (RowId r = 0; r < num_rows; ++r) {
-    if (window->masks[r] != 0) window->dirty_rows.push_back(r);
-  }
+void EnvironmentTable::ClearStorageChanges() {
+  for (RowId r : storage_changes_.dirty_rows) storage_changes_.masks[r] = 0;
+  storage_changes_.dirty_rows.clear();
 }
 
 int32_t EnvironmentTable::RemoveIf(const std::function<bool(RowId)>& pred) {
@@ -108,7 +83,6 @@ int32_t EnvironmentTable::RemoveIf(const std::function<bool(RowId)>& pred) {
       keys_[out] = keys_[in];
       for (auto& col : cols_) col[out] = col[in];
       key_to_row_[keys_[out]] = out;
-      if (tracking_) changes_.masks[out] = changes_.masks[in];
       if (listener_ != nullptr) {
         storage_changes_.masks[out] = storage_changes_.masks[in];
       }
@@ -118,12 +92,16 @@ int32_t EnvironmentTable::RemoveIf(const std::function<bool(RowId)>& pred) {
   if (out == n) return 0;
   keys_.resize(out);
   for (auto& col : cols_) col.resize(out);
-  if (tracking_) {
-    Compact(&changes_, out);
-    changes_.structural = true;
-  }
   if (listener_ != nullptr) {
-    Compact(&storage_changes_, out);
+    // The surviving masks moved down with their rows: drop the tail and
+    // relist the dirty rows.
+    storage_changes_.masks.resize(out);
+    storage_changes_.dirty_rows.clear();
+    for (RowId r = 0; r < out; ++r) {
+      if (storage_changes_.masks[r] != 0) {
+        storage_changes_.dirty_rows.push_back(r);
+      }
+    }
     listener_->OnRemoveRows(first_removed, removed_keys);
   }
   return n - out;

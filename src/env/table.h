@@ -24,24 +24,18 @@ namespace sgl {
 /// Row index within an EnvironmentTable. Invalidated by RemoveIf.
 using RowId = int32_t;
 
-/// A change window over the table: what changed since the window was
-/// last cleared. The table keeps two. The adaptive window (changes(),
-/// cleared by ClearChanges()) is the tick's delta log that the adaptive
-/// evaluator reads to decide between rebuilding an index family from
-/// scratch and applying the delta to it. The storage window
-/// (storage_changes(), cleared by ClearStorageChanges()) is what the
-/// durable store logs and writes to its pages at the end of each tick.
+/// The table's change window: the cells written since the window was last
+/// cleared. It is open while a delta listener is attached
+/// (storage_changes(), cleared by ClearStorageChanges()), and it is what
+/// the durable store logs and writes to its pages at the end of each tick.
 ///
 /// `dirty_rows` lists each written row once; `attr_mask(row)` says which
 /// attributes of it changed (attribute a maps to bit min(a, 63), so
 /// schemas wider than 64 attributes stay correct, merely coarser). While
-/// a window is open it holds one mask per row, and RemoveIf compacts the
-/// masks together with the rows, so a row index always names the same
-/// unit as the table does. `structural` (adaptive window only) is set by
-/// any row addition or removal: RowIds are no longer comparable across
-/// the change window, so consumers must fall back to a full rebuild.
+/// the window is open it holds one mask per row, and RemoveIf compacts
+/// the masks together with the rows, so a row index always names the same
+/// unit as the table does.
 struct TableChanges {
-  bool structural = false;
   std::vector<RowId> dirty_rows;
 
   uint64_t attr_mask(RowId row) const {
@@ -59,7 +53,7 @@ struct TableChanges {
 /// Observer of the table's structural mutations, keyed by unit key: the
 /// storage layer logs them in occurrence order, so replay re-applies
 /// them exactly. At most one listener per table; Clone() never copies
-/// it. Attaching one also opens the storage change window.
+/// it. Attaching one also opens the change window.
 class TableDeltaListener {
  public:
   virtual ~TableDeltaListener() = default;
@@ -106,10 +100,10 @@ class EnvironmentTable {
   }
 
   /// Write a non-key attribute. A write that actually changes the stored
-  /// value marks (row, attr) in every open change window.
+  /// value marks (row, attr) in the change window, if it is open.
   void Set(RowId row, AttrId attr, double value) {
     double& slot = cols_[attr - 1][row];
-    if (watched_ && slot != value) NoteWrite(row, attr);
+    if (listener_ != nullptr && slot != value) Mark(row, attr);
     slot = value;
   }
 
@@ -128,14 +122,13 @@ class EnvironmentTable {
   int32_t RemoveIf(const std::function<bool(RowId)>& pred);
 
   /// Deep copy (used by the equivalence test harness). The copy never
-  /// inherits the delta listener or the storage window: a listener
+  /// inherits the delta listener or the change window: a listener
   /// observes exactly one live table, and clones are scratch copies by
   /// construction.
   EnvironmentTable Clone() const {
     EnvironmentTable copy = *this;
     copy.listener_ = nullptr;
     copy.storage_changes_ = TableChanges();
-    copy.watched_ = copy.tracking_;
     return copy;
   }
 
@@ -148,39 +141,20 @@ class EnvironmentTable {
   /// Render up to `max_rows` rows for debugging.
   std::string ToString(int32_t max_rows = 10) const;
 
-  // --- change tracking (the adaptive evaluator's delta log) ---------------
-
-  /// Start recording writes. Until the first ClearChanges() the log reports
-  /// a structural change, so consumers begin from a full rebuild.
-  void EnableChangeTracking();
-  bool change_tracking_enabled() const { return tracking_; }
-
-  /// What changed since the last ClearChanges() (empty when disabled).
-  const TableChanges& changes() const { return changes_; }
-
-  /// Forget the recorded changes (end of the consumer's change window).
-  void ClearChanges();
-
-  /// Force the next change window to report a structural change (used when
-  /// the table is wholesale replaced, e.g. snapshot restore).
-  void MarkStructuralChange() {
-    if (tracking_) changes_.structural = true;
-  }
-
-  // --- delta listener and storage window (the storage layer's feed) ------
+  // --- delta listener and change window (the storage layer's feed) -------
 
   /// Attach (or with nullptr detach) the table's single delta listener.
-  /// Either way the storage window restarts empty; it stays open while a
+  /// Either way the change window restarts empty; it stays open while a
   /// listener is attached.
   void SetDeltaListener(TableDeltaListener* listener);
   TableDeltaListener* delta_listener() const { return listener_; }
 
   /// Cell writes since the last ClearStorageChanges() (empty with no
-  /// listener). Unlike changes(), the engine's tick never clears it: it
-  /// spans inlet drains and writes made between ticks until storage has
-  /// logged or checkpointed them.
+  /// listener). The engine's tick never clears it: it spans inlet drains
+  /// and writes made between ticks until storage has logged or
+  /// checkpointed them.
   const TableChanges& storage_changes() const { return storage_changes_; }
-  void ClearStorageChanges() { Clear(&storage_changes_); }
+  void ClearStorageChanges();
 
   /// The next auto-assigned key. Exposed so durable storage can carry it
   /// through checkpoints: RemoveIf never lowers it, so rebuilding a table
@@ -189,21 +163,11 @@ class EnvironmentTable {
   void SetNextKey(int64_t next_key) { next_key_ = next_key; }
 
  private:
-  static void Mark(TableChanges* window, RowId row, AttrId attr) {
-    uint64_t& mask = window->masks[row];
-    if (mask == 0) window->dirty_rows.push_back(row);
+  /// Slow path of Set for a value-changing write into the open window.
+  void Mark(RowId row, AttrId attr) {
+    uint64_t& mask = storage_changes_.masks[row];
+    if (mask == 0) storage_changes_.dirty_rows.push_back(row);
     mask |= TableChanges::BitOf(attr);
-  }
-  static void Clear(TableChanges* window);
-
-  /// RemoveIf's epilogue for an open window whose surviving masks were
-  /// already moved down with their rows: drop the tail, relist dirty rows.
-  static void Compact(TableChanges* window, RowId num_rows);
-
-  /// Slow path of Set for a value-changing write: mark the open windows.
-  void NoteWrite(RowId row, AttrId attr) {
-    if (tracking_) Mark(&changes_, row, attr);
-    if (listener_ != nullptr) Mark(&storage_changes_, row, attr);
   }
 
   Schema schema_;
@@ -211,11 +175,8 @@ class EnvironmentTable {
   std::vector<std::vector<double>> cols_;  // cols_[i] is attribute i+1
   std::unordered_map<int64_t, RowId> key_to_row_;
   int64_t next_key_ = 0;
-  bool tracking_ = false;
-  bool watched_ = false;  // tracking_ || listener_ — the Set hot-path gate
   TableDeltaListener* listener_ = nullptr;
-  TableChanges changes_;          // adaptive window, open while tracking_
-  TableChanges storage_changes_;  // storage window, open while listener_
+  TableChanges storage_changes_;  // the change window, open while listener_
 };
 
 }  // namespace sgl

@@ -130,66 +130,19 @@ AggResult LayeredRangeTree2D::Aggregate(const Rect& rect) const {
 
 int64_t LayeredRangeTree2D::Aggregate(const Rect& rect, const int32_t* cols,
                                       int32_t k, double* sums) const {
+  if (n_ == 0) return 0;
+  const Node& root = nodes_[root_];
+  // One binary search at the root; bridges do the rest (fractional
+  // cascading). Closed y interval: [lower_bound(ylo), upper_bound(yhi)).
+  int32_t plo = static_cast<int32_t>(
+      std::lower_bound(root.ys.begin(), root.ys.end(), rect.ylo) -
+      root.ys.begin());
+  int32_t phi = static_cast<int32_t>(
+      std::upper_bound(root.ys.begin(), root.ys.end(), rect.yhi) -
+      root.ys.begin());
   ProbeAcc acc{cols, k, sums, 0};
-  if (n_ > 0) {
-    const Node& root = nodes_[root_];
-    // One binary search at the root; bridges do the rest (fractional
-    // cascading). Closed y interval: [lower_bound(ylo), upper_bound(yhi)).
-    int32_t plo = static_cast<int32_t>(
-        std::lower_bound(root.ys.begin(), root.ys.end(), rect.ylo) -
-        root.ys.begin());
-    int32_t phi = static_cast<int32_t>(
-        std::upper_bound(root.ys.begin(), root.ys.end(), rect.yhi) -
-        root.ys.begin());
-    AggregateRec(root_, rect, plo, phi, &acc);
-  }
-  // Fold in the delta overlay: inserted points add their contribution,
-  // removed points retract theirs (divisibility, Definition 5.1).
-  for (const DeltaPoint& p : inserted_) {
-    if (!rect.Contains(p.x, p.y)) continue;
-    acc.count += 1;
-    for (int32_t i = 0; i < k; ++i) sums[i] += p.terms[cols[i]];
-  }
-  for (const DeltaPoint& p : removed_) {
-    if (!rect.Contains(p.x, p.y)) continue;
-    acc.count -= 1;
-    for (int32_t i = 0; i < k; ++i) sums[i] -= p.terms[cols[i]];
-  }
+  AggregateRec(root_, rect, plo, phi, &acc);
   return acc.count;
-}
-
-void LayeredRangeTree2D::ApplyDelta(std::vector<DeltaPoint>* opposite,
-                                    std::vector<DeltaPoint>* own, double x,
-                                    double y, const double* terms) {
-  // A delta that cancels a pending opposite delta of the same point
-  // annihilates it instead of growing both lists (the common
-  // move-back-and-forth churn); otherwise it joins its own overlay list.
-  for (size_t i = opposite->size(); i > 0; --i) {
-    const DeltaPoint& p = (*opposite)[i - 1];
-    if (p.x != x || p.y != y) continue;
-    bool same = true;
-    for (int32_t t = 0; t < m_; ++t) {
-      if (p.terms[t] != terms[t]) {
-        same = false;
-        break;
-      }
-    }
-    if (same) {
-      opposite->erase(opposite->begin() + static_cast<int64_t>(i - 1));
-      return;
-    }
-  }
-  DeltaPoint p{x, y, m_ > 0 ? std::vector<double>(terms, terms + m_)
-                            : std::vector<double>()};
-  own->push_back(std::move(p));
-}
-
-void LayeredRangeTree2D::RemovePoint(double x, double y, const double* terms) {
-  ApplyDelta(&inserted_, &removed_, x, y, terms);
-}
-
-void LayeredRangeTree2D::InsertPoint(double x, double y, const double* terms) {
-  ApplyDelta(&removed_, &inserted_, x, y, terms);
 }
 
 void LayeredRangeTree2D::AggregateRec(int32_t node_id, const Rect& rect,
@@ -221,7 +174,6 @@ void LayeredRangeTree2D::AggregateRec(int32_t node_id, const Rect& rect,
 
 void LayeredRangeTree2D::Enumerate(const Rect& rect,
                                    std::vector<int32_t>* out) const {
-  assert(removed_.empty() && inserted_.empty());
   if (n_ == 0) return;
   const Node& root = nodes_[root_];
   int32_t plo = static_cast<int32_t>(

@@ -17,14 +17,7 @@
 // The tree supports m payload terms per point and answers all of them in
 // one probe (the paper's "list of aggregate tuples" for centroid queries).
 // It is a static structure rebuilt every tick, per the paper's observation
-// that per-tick rebuilding beats dynamic maintenance for volatile data —
-// but for *low-churn* ticks the adaptive evaluator instead applies the
-// tick's delta log through RemovePoint/InsertPoint: removed and inserted
-// points live in side lists that Aggregate folds in after the tree walk
-// (divisibility makes the correction a subtract/add), so a probe costs
-// O(log n + d) for d outstanding delta points. When d grows past what the
-// cost model tolerates, the owner rebuilds from scratch, which clears the
-// overlay — the classic amortized static-to-dynamic transformation.
+// that per-tick rebuilding beats dynamic maintenance for volatile data.
 #ifndef SGL_GEOM_RANGE_TREE_H_
 #define SGL_GEOM_RANGE_TREE_H_
 
@@ -53,9 +46,8 @@ class LayeredRangeTree2D {
   int32_t num_points() const { return n_; }
   int32_t num_terms() const { return m_; }
 
-  /// Count points and sum every payload term over `rect`, including the
-  /// delta overlay (inserted points add, removed points subtract). Exact
-  /// for integer-valued terms, the repo's determinism contract.
+  /// Count points and sum every payload term over `rect`. Exact for
+  /// integer-valued terms, the repo's determinism contract.
   AggResult Aggregate(const Rect& rect) const;
 
   /// The same probe restricted to the payload columns `cols[0..k)`: adds
@@ -68,39 +60,10 @@ class LayeredRangeTree2D {
                     double* sums) const;
 
   /// Append the ids of all points inside `rect` to `out` (order follows
-  /// the canonical decomposition, not input order). Not supported while a
-  /// delta overlay is outstanding (removed points cannot be un-reported).
+  /// the canonical decomposition, not input order).
   void Enumerate(const Rect& rect, std::vector<int32_t>* out) const;
 
-  // --- delta maintenance (the adaptive evaluator's incremental path) ------
-
-  /// Record that the point (x, y) with payload `terms` (m() values; null ok
-  /// when m() == 0) left the indexed set. The point must have been in the
-  /// set (tree or a prior insert); this is not checked — the caller owns
-  /// the delta log's integrity.
-  void RemovePoint(double x, double y, const double* terms);
-
-  /// Record that the point (x, y) with payload `terms` joined the set.
-  void InsertPoint(double x, double y, const double* terms);
-
-  /// Outstanding overlay points (removed + inserted): the per-probe linear
-  /// correction cost the cost model charges against incremental upkeep.
-  int32_t delta_size() const {
-    return static_cast<int32_t>(removed_.size() + inserted_.size());
-  }
-
  private:
-  /// One overlay point: coordinates plus its m_ payload values.
-  struct DeltaPoint {
-    double x, y;
-    std::vector<double> terms;
-  };
-
-  /// Shared body of RemovePoint/InsertPoint: annihilate a matching point
-  /// pending in `opposite`, else append to `own`.
-  void ApplyDelta(std::vector<DeltaPoint>* opposite,
-                  std::vector<DeltaPoint>* own, double x, double y,
-                  const double* terms);
   struct Node {
     int32_t lo = 0, hi = 0;       // x-sorted point range [lo, hi)
     int32_t left = -1, right = -1;
@@ -138,8 +101,6 @@ class LayeredRangeTree2D {
   std::vector<double> term_of_;         // terms keyed by x-sorted position
   std::vector<Node> nodes_;
   int32_t root_ = -1;
-  std::vector<DeltaPoint> removed_;
-  std::vector<DeltaPoint> inserted_;
 };
 
 }  // namespace sgl

@@ -1,14 +1,11 @@
 #include "opt/cost.h"
 
 #include <cmath>
-#include <limits>
 #include <sstream>
 
 namespace sgl {
 
 namespace {
-
-constexpr double kUnavailable = std::numeric_limits<double>::infinity();
 
 /// log2 clamped below at 1: even a tiny tree pays one level of descent,
 /// and the clamp keeps the model monotone near empty tables.
@@ -22,7 +19,6 @@ const char* PhysicalChoiceName(PhysicalChoice choice) {
   switch (choice) {
     case PhysicalChoice::kScan: return "scan";
     case PhysicalChoice::kRebuild: return "rebuild";
-    case PhysicalChoice::kIncremental: return "incremental";
   }
   return "?";
 }
@@ -30,12 +26,14 @@ const char* PhysicalChoiceName(PhysicalChoice choice) {
 CostDecision CostModel::Choose(const FamilyCostInputs& in) const {
   const double rows = static_cast<double>(in.rows);
   const double probes = in.expected_probes;
-  const double log_n = Log2Floor1(in.rows);
+  // A tree costs log n per row to build and log n per probe to descend;
+  // partition totals pay neither.
+  const double log_n = in.builds_tree ? Log2Floor1(in.rows) : 0.0;
 
   CostDecision d;
   // Per-probe cost of answering through the family's structures. Every
   // probe evaluates its filters and partition values (probe_base), then
-  // descends one tree per matching partition.
+  // reads one structure per matching partition.
   const double probe_cost =
       k_.probe_base + k_.probe_log * log_n +
       k_.probe_partition * static_cast<double>(in.partitions - 1);
@@ -44,43 +42,16 @@ CostDecision CostModel::Choose(const FamilyCostInputs& in) const {
   d.est.rebuild =
       rows * static_cast<double>(in.build_passes) * k_.build_row_pass +
       rows * log_n * k_.build_point + probes * probe_cost;
-  if (in.divisible && in.maintainable) {
-    // The overlay after this tick's delta apply: what probes will pay.
-    // Each dirty row contributes up to two delta points (retract + add).
-    const double overlay =
-        static_cast<double>(in.overlay) + 2.0 * static_cast<double>(in.dirty_rows);
-    d.est.incremental = static_cast<double>(in.dirty_rows) *
-                            (static_cast<double>(in.build_passes) *
-                                 k_.build_row_pass +
-                             k_.delta_row) +
-                        probes * (probe_cost + k_.probe_overlay * overlay);
-  } else {
-    d.est.incremental = kUnavailable;
-  }
-
-  // Strict-less comparisons make the tie order kRebuild > kScan >
-  // kIncremental: equal-cost ties keep the paper's default behavior.
-  d.choice = PhysicalChoice::kRebuild;
-  double best = d.est.rebuild;
-  if (d.est.scan < best) {
-    d.choice = PhysicalChoice::kScan;
-    best = d.est.scan;
-  }
-  if (d.est.incremental < best) {
-    d.choice = PhysicalChoice::kIncremental;
-  }
+  // Strict less: an equal-cost tie keeps the paper's default.
+  d.choice = d.est.scan < d.est.rebuild ? PhysicalChoice::kScan
+                                        : PhysicalChoice::kRebuild;
   return d;
 }
 
 std::string DescribeEstimate(const CostEstimate& est) {
   std::ostringstream os;
   os.precision(3);
-  os << "scan=" << est.scan << " rebuild=" << est.rebuild << " incr=";
-  if (std::isinf(est.incremental)) {
-    os << "n/a";
-  } else {
-    os << est.incremental;
-  }
+  os << "scan=" << est.scan << " rebuild=" << est.rebuild;
   return os.str();
 }
 

@@ -6,21 +6,19 @@
 // build cost — which varies per signature (how many passes the build
 // evaluates per row), per scenario (a global-sum aggregate is answered by
 // one near-free scan; a kD family may be probed thousands of times), and
-// per tick (churn rises and falls). This model makes that choice
+// per tick (demand rises and falls). This model makes that choice
 // explicit: each tick, every physical index family is assigned one of
 //
-//   kScan        don't build; member aggregates fall back to the
-//                reference scan (the naive evaluator, per probe);
-//   kRebuild     the paper's default: build the family's per-partition
-//                structures from scratch, probe in O(log n);
-//   kIncremental divisible range-tree families only: apply the tick's
-//                delta log to the existing trees (RemovePoint /
-//                InsertPoint overlays) instead of rebuilding.
+//   kScan     don't build; member aggregates fall back to the reference
+//             scan (the naive evaluator, per probe);
+//   kRebuild  the paper's default: build the family's per-partition
+//             structures from scratch, probe in O(log n) (or O(1) for a
+//             partition-totals family, which builds no tree).
 //
 // Estimates are in abstract cost units (calibrated against Release-build
 // measurements; only ratios matter). All model inputs are *counts* —
-// table rows, per-family probe tallies, dirty-row counts, overlay sizes —
-// never wall-clock times, so decisions are a deterministic function of
+// table rows, per-family probe tallies, build passes, partitions — never
+// wall-clock times, so decisions are a deterministic function of
 // the simulation state and stay bit-identical for any worker-thread
 // count. Expected probe demand is an exponentially-weighted average of
 // the tallies observed on previous ticks, so decisions adapt mid-run
@@ -34,7 +32,7 @@
 namespace sgl {
 
 /// Physical strategy the model assigns to one index family for one tick.
-enum class PhysicalChoice : uint8_t { kScan, kRebuild, kIncremental };
+enum class PhysicalChoice : uint8_t { kScan, kRebuild };
 
 const char* PhysicalChoiceName(PhysicalChoice choice);
 
@@ -65,17 +63,16 @@ struct FamilyCostInputs {
   double expected_probes = 0;  ///< EWMA of the family's per-tick probes
   int64_t build_passes = 1;    ///< per-row expressions a build evaluates
   int64_t partitions = 1;      ///< structures probed per aggregate call
-  int64_t dirty_rows = 0;      ///< rows whose build inputs changed
-  int64_t overlay = 0;         ///< outstanding delta points (pre-tick)
-  bool divisible = false;      ///< family supports the incremental path
-  bool maintainable = false;   ///< valid tree + non-structural change log
+  /// The family builds a tree per partition (O(n log n) build, a
+  /// log n descent per probe); false for partition totals, built in one
+  /// linear pass and probed without a descent.
+  bool builds_tree = true;
 };
 
 /// Per-alternative cost estimates (abstract units), for EXPLAIN.
 struct CostEstimate {
   double scan = 0.0;
   double rebuild = 0.0;
-  double incremental = 0.0;  ///< +inf when the path is unavailable
 };
 
 /// The model's verdict for one family and tick.
@@ -92,12 +89,10 @@ struct CostDecision {
 struct CostConstants {
   double scan_row = 90.0;        ///< naive eval, per probe per table row
   double probe_base = 250.0;     ///< per probe: filters, partition values
-  double probe_log = 30.0;       ///< per probe per log2(rows)
+  double probe_log = 30.0;       ///< per probe per log2(rows), trees only
   double probe_partition = 60.0; ///< per probe per extra partition
-  double probe_overlay = 6.0;    ///< per probe per outstanding delta point
   double build_row_pass = 90.0;  ///< per row per build expression pass
   double build_point = 60.0;     ///< tree construction, per row per log2
-  double delta_row = 400.0;      ///< per dirty row: re-eval + tree touch
 };
 
 class CostModel {
@@ -107,16 +102,16 @@ class CostModel {
 
   const CostConstants& constants() const { return k_; }
 
-  /// Choose the cheapest physical strategy for one family this tick.
-  /// Ties break toward kRebuild (the paper's default), then kScan; the
-  /// comparison is deterministic because every input is.
+  /// Choose the cheaper physical strategy for one family this tick.
+  /// Ties break toward kRebuild (the paper's default); the comparison is
+  /// deterministic because every input is.
   CostDecision Choose(const FamilyCostInputs& in) const;
 
  private:
   CostConstants k_;
 };
 
-/// Render "scan=1.2e6 rebuild=3.4e5 incr=—" for EXPLAIN output.
+/// Render "scan=1.2e+06 rebuild=3.4e+05" for EXPLAIN output.
 std::string DescribeEstimate(const CostEstimate& est);
 
 }  // namespace sgl

@@ -233,16 +233,8 @@ Status IndexedAggregateProvider::BuildFamily(Family* family,
     }));
   }
 
-  // Pass 3: group passing rows by their partition components. When the
-  // family is delta-maintained, snapshot each row's partition components
-  // and point coordinates too — a later incremental tick retracts exactly
-  // this contribution from the trees.
+  // Pass 3: group passing rows by their partition components.
   const int32_t p_dims = static_cast<int32_t>(sig.partitions.size());
-  if (family->maintain_deltas) {
-    family->comps.assign(static_cast<size_t>(n) * p_dims, 0.0);
-    family->xs.assign(n, 0.0);
-    family->ys.assign(n, 0.0);
-  }
   std::map<std::vector<double>, std::vector<RowId>> groups;
   std::vector<double> comps(p_dims);
   int64_t passing = 0;
@@ -251,15 +243,6 @@ Status IndexedAggregateProvider::BuildFamily(Family* family,
     ++passing;
     for (int32_t i = 0; i < p_dims; ++i) {
       comps[i] = table.Get(r, sig.partitions[i].attr);
-    }
-    if (family->maintain_deltas) {
-      for (int32_t i = 0; i < p_dims; ++i) {
-        family->comps[static_cast<size_t>(r) * p_dims + i] = comps[i];
-      }
-      family->xs[r] =
-          sig.ranges.size() > 0 ? table.Get(r, sig.ranges[0].attr) : 0.0;
-      family->ys[r] =
-          sig.ranges.size() > 1 ? table.Get(r, sig.ranges[1].attr) : 0.0;
     }
     auto group = groups.find(comps);
     if (group == groups.end()) {
@@ -274,7 +257,6 @@ Status IndexedAggregateProvider::BuildFamily(Family* family,
   family->mm_trees.clear();
   family->kd_trees.clear();
   family->parts.clear();
-  family->part_id_of.clear();
   const std::vector<int64_t>& keys = table.Keys();
   int64_t part_id = 0;
   for (auto& [part_comps, rows] : groups) {
@@ -328,12 +310,8 @@ Status IndexedAggregateProvider::BuildFamily(Family* family,
       }
     }
     family->parts.push_back(PartitionEntry{part_comps, part_id});
-    family->part_id_of.emplace(part_comps, part_id);
     ++part_id;
   }
-  family->next_part_id = part_id;
-  family->tree_valid = true;
-  family->overlay_points = 0;
   family->rows->Add(passing);
   family->build_ns->Add(timer.Nanos());
   return Status::OK();

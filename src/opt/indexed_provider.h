@@ -59,7 +59,7 @@ class IndexedAggregateProvider : public AggregateProvider {
   /// to the sequential build (every write lands in a row- or family-
   /// private slot). `stats`, when given, collects per-worker timing.
   /// The adaptive subclass overrides this with a per-family cost-based
-  /// choice between rebuilding, delta maintenance, and scan fallback.
+  /// choice between rebuilding and scan fallback.
   virtual Status BuildIndexes(const EnvironmentTable& table,
                               const TickRandom& rnd,
                               exec::ThreadPool* pool = nullptr,
@@ -190,8 +190,7 @@ class IndexedAggregateProvider : public AggregateProvider {
     obs::Counter* rows = nullptr;      // rows passing the build
     obs::Counter* build_ns = nullptr;  // build wall time
 
-    // Build products (per tick — or maintained across ticks by the
-    // adaptive evaluator's delta path).
+    // Build products, rebuilt from scratch by every build.
     std::vector<char> row_passes;  // build-filter result per row
     std::vector<std::vector<double>> term_cols;  // num_cols() columns
     std::vector<PartitionEntry> parts;
@@ -199,18 +198,6 @@ class IndexedAggregateProvider : public AggregateProvider {
     std::vector<PartitionTotals> totals;  // by part id
     std::map<int64_t, MinMaxRangeTree2D> mm_trees;
     std::map<int64_t, KdTree2D> kd_trees;
-
-    // --- delta-maintenance state (adaptive range-tree families only) ---
-    // The build snapshots each row's point coordinates and partition
-    // components so a later tick can retract exactly the contribution the
-    // trees hold for a changed row.
-    bool maintain_deltas = false;  // cache xs/ys/comps during builds
-    bool tree_valid = false;       // build products match some past tick
-    std::vector<double> xs, ys;    // point coords per row (passing rows)
-    std::vector<double> comps;     // partition components, row-major
-    std::map<std::vector<double>, int64_t> part_id_of;  // comps -> part id
-    int64_t next_part_id = 0;
-    int64_t overlay_points = 0;    // outstanding delta points, all trees
   };
 
   Status BuildFamily(Family* family, const EnvironmentTable& table,

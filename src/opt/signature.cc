@@ -7,7 +7,6 @@
 #include <map>
 #include <sstream>
 
-#include "env/table.h"
 
 namespace sgl {
 
@@ -492,40 +491,6 @@ Result<AggregateSignature> ExtractSignature(const Script& script,
     sig.terms.push_back(item.term.get());
   }
   return sig;
-}
-
-namespace {
-
-void CollectExprAttrs(const Expr& e, uint64_t* mask) {
-  if (e.kind == ExprKind::kAttrRef && e.attr_id != kKeyAttrId &&
-      e.attr_id != Schema::kInvalidAttr) {
-    *mask |= TableChanges::BitOf(e.attr_id);
-  }
-  for (const ExprPtr& a : e.args) {
-    if (a) CollectExprAttrs(*a, mask);
-  }
-}
-
-void CollectCondAttrs(const Cond& c, uint64_t* mask) {
-  if (c.lhs) CollectExprAttrs(*c.lhs, mask);
-  if (c.rhs) CollectExprAttrs(*c.rhs, mask);
-  if (c.left) CollectCondAttrs(*c.left, mask);
-  if (c.right) CollectCondAttrs(*c.right, mask);
-}
-
-}  // namespace
-
-uint64_t BuildDependencyMask(const AggregateSignature& sig) {
-  uint64_t mask = 0;
-  for (const RangeDim& r : sig.ranges) {
-    if (r.attr != kKeyAttrId) mask |= TableChanges::BitOf(r.attr);
-  }
-  for (const PartitionDim& p : sig.partitions) {
-    if (p.attr != kKeyAttrId) mask |= TableChanges::BitOf(p.attr);
-  }
-  for (const Cond* f : sig.build_filters) CollectCondAttrs(*f, &mask);
-  for (const Expr* t : sig.terms) CollectExprAttrs(*t, &mask);
-  return mask;
 }
 
 std::string DescribeSignature(const Script& script,

@@ -141,17 +141,6 @@ void PrintCanonicalNumber(double v, std::ostream& os);
 std::string CanonicalAggregateFingerprint(const Script& script,
                                           int32_t agg_index);
 
-/// The build-side attribute dependencies of an indexable signature, as a
-/// TableChanges-style bitmask (attribute a -> bit min(a, 63)): the range
-/// and partition attributes plus every attribute referenced by the build
-/// filters and term expressions. A row whose changed-attribute mask does
-/// not intersect this mask contributes identically to a rebuild of the
-/// family's indexes, which is what lets the adaptive evaluator maintain
-/// them from the tick's delta log instead. The key attribute contributes
-/// no bit: keys are immutable per row, and row addition/removal is a
-/// structural change handled separately.
-uint64_t BuildDependencyMask(const AggregateSignature& sig);
-
 /// Which tuples an expression or condition references — shared conjunct
 /// classification machinery for the aggregate and action planners.
 struct SideUse {

@@ -2,23 +2,18 @@
 // (src/opt/cost.h, src/opt/adaptive_provider.h) must never change what a
 // simulation computes — only how. Every registered scenario runs 50
 // ticks in lockstep under adaptive {1, 4}-thread configurations against
-// the naive reference; a forced-churn configuration pins every divisible
-// family to the incremental range-tree path and must still match; and
-// the range-tree delta overlay is checked directly against from-scratch
-// rebuilds.
+// the naive reference, and again with the choice forced: scan on every
+// tick, and scan and rebuild alternating tick by tick.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "engine/simulation.h"
-#include "geom/range_tree.h"
 #include "opt/adaptive_provider.h"
 #include "opt/cost.h"
 #include "scenario/scenario.h"
-#include "util/rng.h"
 
 namespace sgl {
 namespace {
@@ -73,45 +68,24 @@ TEST(CostModelTest, HotFamilyRebuilds) {
   EXPECT_EQ(model.Choose(in).choice, PhysicalChoice::kRebuild);
 }
 
-TEST(CostModelTest, LowChurnDivisibleFamilyGoesIncremental) {
+TEST(CostModelTest, PartitionTotalsRebuildIsLinear) {
+  // A partition-totals family builds in one linear pass and answers a
+  // probe without a tree descent: no log n term on either side.
   CostModel model;
+  const CostConstants& k = model.constants();
   FamilyCostInputs in;
   in.rows = 10000;
-  in.expected_probes = 10000;
+  in.expected_probes = 250;
   in.build_passes = 3;
-  in.divisible = true;
-  in.maintainable = true;
-  in.dirty_rows = 5;
-  in.overlay = 0;
-  CostDecision d = model.Choose(in);
-  EXPECT_EQ(d.choice, PhysicalChoice::kIncremental);
-  EXPECT_LT(d.est.incremental, d.est.rebuild);
-}
+  in.builds_tree = false;
+  const CostDecision totals = model.Choose(in);
+  EXPECT_DOUBLE_EQ(totals.est.rebuild,
+                   10000.0 * 3 * k.build_row_pass + 250.0 * k.probe_base);
 
-TEST(CostModelTest, HighChurnFallsBackToRebuild) {
-  CostModel model;
-  FamilyCostInputs in;
-  in.rows = 10000;
-  in.expected_probes = 10000;
-  in.build_passes = 3;
-  in.divisible = true;
-  in.maintainable = true;
-  in.dirty_rows = 9500;  // nearly every row changed: rebuild is cheaper
-  in.overlay = 0;
-  EXPECT_EQ(model.Choose(in).choice, PhysicalChoice::kRebuild);
-}
-
-TEST(CostModelTest, AccumulatedOverlayForcesARebuild) {
-  CostModel model;
-  FamilyCostInputs in;
-  in.rows = 10000;
-  in.expected_probes = 10000;
-  in.build_passes = 3;
-  in.divisible = true;
-  in.maintainable = true;
-  in.dirty_rows = 5;
-  in.overlay = 50000;  // every probe would pay a huge linear correction
-  EXPECT_EQ(model.Choose(in).choice, PhysicalChoice::kRebuild);
+  in.builds_tree = true;
+  const CostDecision tree = model.Choose(in);
+  EXPECT_GT(tree.est.rebuild, totals.est.rebuild);
+  EXPECT_DOUBLE_EQ(tree.est.scan, totals.est.scan);
 }
 
 TEST(CostModelTest, EwmaTracksDemandDeterministically) {
@@ -127,122 +101,13 @@ TEST(CostModelTest, EwmaTracksDemandDeterministically) {
   EXPECT_GT(a.Get(0.0), 0.0) << "EWMA decays, it does not forget instantly";
 }
 
-// --------------------------------------------------- range-tree delta apply
-
-/// From-scratch oracle: rebuild a tree over `points` and compare every
-/// aggregate answer over a probe grid against `maintained`.
-void ExpectTreesAgree(const LayeredRangeTree2D& maintained,
-                      const std::vector<PointRef>& points,
-                      const std::vector<std::vector<double>>& terms) {
-  LayeredRangeTree2D fresh(points, terms);
-  for (double xlo = -2; xlo <= 10; xlo += 3) {
-    for (double ylo = -2; ylo <= 10; ylo += 3) {
-      for (double size : {2.0, 5.0, 100.0}) {
-        Rect rect{xlo, xlo + size, ylo, ylo + size};
-        AggResult want = fresh.Aggregate(rect);
-        AggResult got = maintained.Aggregate(rect);
-        ASSERT_EQ(want.count, got.count)
-            << "count diverged on [" << xlo << "," << xlo + size << "]x["
-            << ylo << "," << ylo + size << "]";
-        ASSERT_EQ(want.sums, got.sums) << "sums diverged";
-      }
-    }
-  }
-}
-
-TEST(RangeTreeDeltaTest, OverlayMatchesFromScratchRebuild) {
-  // Integral coordinates and terms: the determinism contract under which
-  // overlay arithmetic is exact.
-  Xoshiro256 rng(7);
-  std::vector<PointRef> points;
-  std::vector<std::vector<double>> terms(2);
-  const int32_t n = 200;
-  for (int32_t i = 0; i < n; ++i) {
-    points.push_back(PointRef{static_cast<double>(rng.Next() % 9),
-                              static_cast<double>(rng.Next() % 9), i});
-    terms[0].push_back(static_cast<double>(rng.Next() % 100));
-    terms[1].push_back(static_cast<double>(rng.Next() % 100));
-  }
-  LayeredRangeTree2D tree(points, terms);
-
-  // Churn 40 of the 200 points through remove+insert (moved position and
-  // changed payload), tracking the evolving truth in `points`/`terms`.
-  for (int32_t step = 0; step < 40; ++step) {
-    int32_t id = static_cast<int32_t>(rng.Next() % n);
-    double old_terms[2] = {terms[0][id], terms[1][id]};
-    tree.RemovePoint(points[id].x, points[id].y, old_terms);
-    points[id].x = static_cast<double>(rng.Next() % 9);
-    points[id].y = static_cast<double>(rng.Next() % 9);
-    terms[0][id] = static_cast<double>(rng.Next() % 100);
-    terms[1][id] = static_cast<double>(rng.Next() % 100);
-    double new_terms[2] = {terms[0][id], terms[1][id]};
-    tree.InsertPoint(points[id].x, points[id].y, new_terms);
-  }
-  EXPECT_GT(tree.delta_size(), 0);
-  ExpectTreesAgree(tree, points, terms);
-}
-
-TEST(RangeTreeDeltaTest, RedundantChurnAnnihilates) {
-  std::vector<PointRef> points{{1, 2, 0}, {3, 4, 1}};
-  std::vector<std::vector<double>> terms{{10, 20}};
-  LayeredRangeTree2D tree(points, terms);
-  double t0[1] = {10};
-  // Remove and re-insert the identical point: the overlay must not grow.
-  tree.RemovePoint(1, 2, t0);
-  tree.InsertPoint(1, 2, t0);
-  EXPECT_EQ(tree.delta_size(), 0);
-  ExpectTreesAgree(tree, points, terms);
-}
-
-TEST(RangeTreeDeltaTest, EmptyTreeIsAPureOverlay) {
-  std::vector<std::vector<double>> one_term(1);
-  LayeredRangeTree2D tree({}, one_term);
-  double t[1] = {7};
-  tree.InsertPoint(2, 2, t);
-  Rect everything{-100, 100, -100, 100};
-  AggResult res = tree.Aggregate(everything);
-  EXPECT_EQ(res.count, 1);
-  EXPECT_EQ(res.sums[0], 7);
-}
-
-// -------------------------------------------------- change-tracking basics
-
-TEST(ChangeTrackingTest, RecordsActualChangesOnly) {
-  Schema schema;
-  ASSERT_TRUE(schema.AddAttribute("hp", CombineType::kConst).ok());
-  ASSERT_TRUE(schema.AddAttribute("dmg", CombineType::kSum).ok());
-  EnvironmentTable table(schema);
-  ASSERT_TRUE(table.AddRow({100, 0}).ok());
-  ASSERT_TRUE(table.AddRow({50, 0}).ok());
-  table.EnableChangeTracking();
-  EXPECT_TRUE(table.changes().structural)
-      << "the first window must force a rebuild";
-  table.ClearChanges();
-
-  AttrId hp = schema.Find("hp");
-  table.Set(0, hp, 100.0);  // no-op write: same value
-  EXPECT_TRUE(table.changes().dirty_rows.empty());
-  table.Set(1, hp, 49.0);
-  ASSERT_EQ(table.changes().dirty_rows.size(), 1u);
-  EXPECT_EQ(table.changes().dirty_rows[0], 1);
-  EXPECT_NE(table.changes().attr_mask(1) & TableChanges::BitOf(hp), 0u);
-  EXPECT_FALSE(table.changes().structural);
-
-  table.ClearChanges();
-  EXPECT_TRUE(table.changes().dirty_rows.empty());
-  int32_t removed = table.RemoveIf([](RowId r) { return r == 0; });
-  EXPECT_EQ(removed, 1);
-  EXPECT_TRUE(table.changes().structural);
-}
-
 // ------------------------------------------------- per-scenario contracts
 
 class AdaptiveContractTest : public ::testing::TestWithParam<std::string> {};
 
 // The tentpole contract: adaptive mode (1 and 4 threads) is bit-exact
 // with the naive reference on every registered scenario, tick by tick,
-// while the cost model is free to mix scan/rebuild/incremental per
-// family.
+// while the cost model is free to mix scan and rebuild per family.
 TEST_P(AdaptiveContractTest, AdaptiveIsBitExactWithNaive) {
   const std::string name = GetParam();
   const ScenarioParams params = SmallParams();
@@ -270,48 +135,35 @@ TEST_P(AdaptiveContractTest, AdaptiveIsBitExactWithNaive) {
   EXPECT_TRUE(st.ok()) << name << ": " << st.ToString();
 }
 
-// Forced churn: pin every divisible family to the incremental range-tree
-// path (whenever it is applicable at all) — movement and effect churn
-// then flow through RemovePoint/InsertPoint overlays every tick, and the
-// result must still match the naive reference bit for bit. This is the
-// direct proof that incremental maintenance equals a from-scratch
-// rebuild at simulation level.
-TEST_P(AdaptiveContractTest, ForcedIncrementalMatchesNaive) {
+// Alternating: every family is forced to scan on even ticks and to
+// rebuild on odd ones, so each rebuild follows a tick on which the
+// family's structures were not built. Nothing may carry over from a
+// tick's build to a later one, and the result must match the naive
+// reference bit for bit, tick by tick.
+TEST_P(AdaptiveContractTest, AlternatingScanRebuildMatchesNaive) {
   const std::string name = GetParam();
   const ScenarioParams params = SmallParams();
   auto naive = BuildOrDie(name, params, EvaluatorMode::kNaive, 1);
   auto forced = BuildOrDie(name, params, EvaluatorMode::kAdaptive, 1);
   ASSERT_NE(naive, nullptr);
   ASSERT_NE(forced, nullptr);
-  const PhysicalChoice incremental = PhysicalChoice::kIncremental;
-  ForceChoice(forced.get(), &incremental);
-
-  // Whether a range-tree family serving several aggregates (one tree
-  // carrying the union of their term columns) exists, and whether one
-  // took the delta path on some tick.
-  bool has_fused = false;
-  bool fused_incremental = false;
   for (int64_t tick = 0; tick < kTicks; ++tick) {
+    const PhysicalChoice choice =
+        tick % 2 == 0 ? PhysicalChoice::kScan : PhysicalChoice::kRebuild;
+    ForceChoice(forced.get(), &choice);
     ASSERT_TRUE(naive->Tick().ok());
     ASSERT_TRUE(forced->Tick().ok()) << name << " forced tick " << tick;
     ASSERT_TRUE(naive->table().Equals(forced->table()))
-        << name << " forced-incremental diverged at tick " << tick << ":\n"
+        << name << " scan/rebuild alternation diverged at tick " << tick
+        << ":\n"
         << naive->table().DiffString(forced->table());
     for (const auto& session : forced->sessions()) {
       const IndexedAggregateProvider& provider = *session->provider;
       for (int32_t f = 0; f < provider.NumIndexFamilies(); ++f) {
-        const std::vector<int32_t>& members = provider.family_members(f);
-        if (members.size() < 2 || provider.signature(members[0]).kind !=
-                                      IndexKind::kDivisibleRangeTree) {
-          continue;
-        }
-        has_fused = true;
-        if (provider.family_mode(f) == incremental) fused_incremental = true;
+        ASSERT_EQ(choice, provider.family_mode(f)) << name << " family " << f;
       }
     }
   }
-  EXPECT_EQ(has_fused, fused_incremental)
-      << name << ": no fused family took the incremental path";
 }
 
 // Forced scan: the other extreme must also stay bit-exact (and is how a

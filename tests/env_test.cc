@@ -216,14 +216,13 @@ TEST(StorageWindow, AddRowAfterWritesKeepsTheirMasks) {
   EXPECT_EQ((std::vector<RowId>{3, 4}), window.dirty_rows);
 }
 
-TEST(StorageWindow, AdaptiveClearLeavesItIntact) {
+TEST(StorageWindow, RecordsValueChangesUntilCleared) {
   NullListener listener;
   EnvironmentTable t = WatchedTable(&listener);
-  t.EnableChangeTracking();
   const AttrId health = t.schema().Find("health");
+  t.Set(1, health, 100);  // the stored value: not a change
+  EXPECT_TRUE(t.storage_changes().dirty_rows.empty());
   t.Set(0, health, 1);
-  t.ClearChanges();
-  EXPECT_TRUE(t.changes().dirty_rows.empty());
   ASSERT_EQ(std::vector<RowId>{0}, t.storage_changes().dirty_rows);
   EXPECT_EQ(TableChanges::BitOf(health), t.storage_changes().attr_mask(0));
   t.ClearStorageChanges();

@@ -15,7 +15,6 @@
 #include "geom/kd_tree.h"
 #include "geom/minmax_tree.h"
 #include "geom/range_tree.h"
-#include "geom/spatial_hash.h"
 #include "util/rng.h"
 
 namespace sgl {

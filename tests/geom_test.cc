@@ -10,7 +10,6 @@
 #include "geom/kd_tree.h"
 #include "geom/minmax_tree.h"
 #include "geom/range_tree.h"
-#include "geom/spatial_hash.h"
 #include "util/rng.h"
 
 namespace sgl {
@@ -301,33 +300,6 @@ TEST(LayeredKdForest, ThresholdNearestMatchesBruteForce) {
       ASSERT_EQ(want.key, got.key);
     }
   }
-}
-
-// ------------------------------------------------------------- SpatialHash
-
-class HashSizes : public ::testing::TestWithParam<double> {};
-
-TEST_P(HashSizes, CountMatchesBruteForce) {
-  const double cell = GetParam();
-  TestWorld w = MakeWorld(500, 91);
-  SpatialHashGrid grid(w.points, cell);
-  Xoshiro256 rng(15);
-  for (int32_t q = 0; q < 150; ++q) {
-    Rect rect = RandomRect(&rng);
-    int64_t want = 0;
-    for (const PointRef& p : w.points) {
-      if (rect.Contains(p.x, p.y)) ++want;
-    }
-    ASSERT_EQ(want, grid.CountInRect(rect)) << "cell=" << cell;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(CellSizes, HashSizes,
-                         ::testing::Values(1.0, 4.0, 16.0, 64.0, 500.0));
-
-TEST(SpatialHash, Empty) {
-  SpatialHashGrid grid({}, 8.0);
-  EXPECT_EQ(0, grid.CountInRect(Rect{0, 100, 0, 100}));
 }
 
 }  // namespace

@@ -583,7 +583,7 @@ void ForEachSeamBatch(const Script& script, const Interpreter& interp,
 }
 
 /// `all_paths`: the script is known to reach every provider path checked
-/// for (scan mode, delta overlays, memo entries), so their absence fails.
+/// for (index families, memo entries), so their absence fails.
 void ExpectSeamAgreement(const Script& script, const EnvironmentTable& world,
                          uint64_t seed, bool all_paths) {
   TickRandom rnd(seed, 0);
@@ -606,42 +606,40 @@ void ExpectSeamAgreement(const Script& script, const EnvironmentTable& world,
         });
   }
 
-  {  // Adaptive: after a first (full) build and some churn, forcing the
-     // delta path leaves range-tree families with an outstanding overlay
-     // and, with no demand observed, the others in scan mode.
+  {  // Adaptive over two builds: the first forced to scan (every family
+     // answers lane by lane through the reference evaluator), the second,
+     // after some churn, forced to rebuild (every family rebuilt after a
+     // scan tick).
     EnvironmentTable table = world.Clone();
-    table.EnableChangeTracking();
     Interpreter interp(script);
     auto provider = AdaptiveAggregateProvider::Create(script, interp);
     ASSERT_TRUE(provider.ok()) << provider.status().ToString();
-    ASSERT_TRUE((*provider)->BuildIndexes(table, rnd).ok());
-    table.ClearChanges();
+    if (all_paths) EXPECT_GT((*provider)->NumIndexFamilies(), 0);
     const AttrId posx = table.schema().Find("posx");
     const AttrId health = table.schema().Find("health");
-    for (RowId r = 0; r < table.NumRows(); r += 5) {
-      for (AttrId a : {posx, health}) {
-        if (a != Schema::kInvalidAttr) table.Set(r, a, table.Get(r, a) + 1.0);
+    for (const PhysicalChoice choice :
+         {PhysicalChoice::kScan, PhysicalChoice::kRebuild}) {
+      (*provider)->ForceChoiceForTest(&choice);
+      ASSERT_TRUE((*provider)->BuildIndexes(table, rnd).ok());
+      for (int32_t f = 0; f < (*provider)->NumIndexFamilies(); ++f) {
+        ASSERT_EQ(choice, (*provider)->family_mode(f)) << "family " << f;
+      }
+      const std::string what =
+          std::string("adaptive ") + PhysicalChoiceName(choice) + " ";
+      ForEachSeamBatch(script, interp, table, rnd, seed,
+                       [&](SeamBatch* b, const std::string& name) {
+                         ExpectBatchMatchesLanes(provider->get(),
+                                                 provider->get(), b, table,
+                                                 rnd, what + name);
+                       });
+      for (RowId r = 0; r < table.NumRows(); r += 5) {
+        for (AttrId a : {posx, health}) {
+          if (a != Schema::kInvalidAttr) {
+            table.Set(r, a, table.Get(r, a) + 1.0);
+          }
+        }
       }
     }
-    const PhysicalChoice incremental = PhysicalChoice::kIncremental;
-    (*provider)->ForceChoiceForTest(&incremental);
-    ASSERT_TRUE((*provider)->BuildIndexes(table, rnd).ok());
-    bool any_scan = false;
-    bool any_incremental = false;
-    for (int32_t f = 0; f < (*provider)->NumIndexFamilies(); ++f) {
-      any_scan |= (*provider)->family_mode(f) == PhysicalChoice::kScan;
-      any_incremental |= (*provider)->family_mode(f) == incremental;
-    }
-    if (all_paths) {
-      EXPECT_TRUE(any_scan) << "no family in scan mode";
-      EXPECT_TRUE(any_incremental) << "no family with a delta overlay";
-    }
-    ForEachSeamBatch(script, interp, table, rnd, seed,
-                     [&](SeamBatch* b, const std::string& name) {
-                       ExpectBatchMatchesLanes(provider->get(),
-                                               provider->get(), b, table, rnd,
-                                               "adaptive " + name);
-                     });
   }
 
   {  // Sharing over indexed, over two ticks (the second after the

@@ -7,8 +7,9 @@ Validates three files (the latter two optional):
     {"traceEvents": [...]} envelope, per-event required fields, and —
     the part a JSON linter cannot see — the span *hierarchy*: complete
     ("X") events on each track must properly nest, track 0 must hold
-    tick spans with the phase spans strictly inside them, and every
-    instant must fall inside some tick;
+    tick spans with the phase spans strictly inside them, every
+    instant must fall inside some tick, and every adaptive.choice
+    instant must name an integer family and a scan/rebuild choice;
   * a metrics JSON-lines file (SimulationConfig::metrics_path): one
     {"tick": N, "metrics": {...}} object per line, ticks strictly
     increasing, every snapshot carrying the counters/gauges/histograms
@@ -90,6 +91,20 @@ def validate_trace(path):
         if not covering_tick(ins["ts"]):
             fail(f"{path}: instant '{ins['name']}' at ts={ins['ts']} "
                  "outside every tick span")
+
+    # The adaptive evaluator's re-plan instants name an integer family
+    # and one of the cost model's two choices.
+    for ins in instants:
+        if ins["name"] != "adaptive.choice":
+            continue
+        args = ins.get("args", {})
+        family = args.get("family")
+        if not isinstance(family, int) or isinstance(family, bool):
+            fail(f"{path}: adaptive.choice at ts={ins['ts']} has no "
+                 f"integer 'family' (got {family!r})")
+        if args.get("choice") not in ("scan", "rebuild"):
+            fail(f"{path}: adaptive.choice at ts={ins['ts']} has choice "
+                 f"{args.get('choice')!r}, not 'scan' or 'rebuild'")
 
     # Proper nesting per track: with events sorted (ts asc, dur desc) a
     # child must end before its enclosing span does.
