@@ -306,8 +306,8 @@ int main(int argc, char** argv) {
                             : args.compiled;
   // Disk-backed storage is swept both ways by default: the off rows are
   // the classic in-memory engine (legacy baselines carry storage="off"
-  // implicitly), and the on rows keep a trajectory on what the page
-  // pool + WAL cost per tick. Every storage cell is bit-checked against
+  // implicitly), and the on rows keep a trajectory on what the WAL and
+  // checkpoints cost per tick. Every storage cell is bit-checked against
   // the same in-memory group reference, so the durability contract
   // rides on every benchmark run too.
   const std::vector<std::string> storage_sweep =
@@ -339,12 +339,17 @@ int main(int argc, char** argv) {
   std::printf("%-14s %-8s %7s %8s %8s %9s %8s %14s %9s\n", "scenario",
               "mode", "units", "threads", "sharing", "compiled", "storage",
               "ns/tick", "speedup");
+  // One line per (scenario, units) group naming the cell its others were
+  // checked against, for the closing summary.
+  std::vector<std::string> references;
   for (const std::string& scenario : scenarios) {
     for (int32_t units : unit_counts) {
       ScenarioParams params;
       params.units = units;
       params.seed = seed;
       bool have_reference = false;
+      bool naive_ran = false;
+      std::string reference_cell;
       EnvironmentTable reference{Schema()};
       double base_ns = 0.0;  // the group's first cell, for the speedup column
       for (const std::string& mode_name : modes) {
@@ -365,8 +370,14 @@ int main(int argc, char** argv) {
                 CellResult cell =
                     RunCell(scenario, params, mode, threads, sharing, compiled,
                             storage, ticks, reps, args.metrics);
+                naive_ran = naive_ran || mode == EvaluatorMode::kNaive;
                 if (!have_reference) {
                   have_reference = true;
+                  reference_cell = mode_name + " threads=" +
+                                   std::to_string(threads) +
+                                   " sharing=" + sharing_name +
+                                   " compiled=" + compiled_name +
+                                   " storage=" + storage_name;
                   reference = cell.table.Clone();
                   base_ns = cell.seconds / static_cast<double>(ticks) * 1e9;
                 } else if (!reference.Equals(cell.table)) {
@@ -397,6 +408,16 @@ int main(int argc, char** argv) {
           }
         }
       }
+      if (!have_reference) continue;
+      // Every cell equals the first, so where a naive cell ran, every
+      // cell also equals the naive oracle.
+      references.push_back(
+          scenario + " units=" + std::to_string(units) + ": " +
+          (naive_ran ? "the naive cell"
+                     : "the first cell run (" + reference_cell +
+                           "); no naive cell ran" +
+                           (units > naive_max ? " (units > --naive-max)"
+                                              : "")));
     }
   }
   // ------------------------------------------------- multi-tenant sweep
@@ -424,7 +445,11 @@ int main(int argc, char** argv) {
       }
     }
   }
-  std::printf("\nevery cell bit-identical to its (scenario, units) reference; "
-              "all invariants held\n");
+  std::printf("\nevery solo cell bit-identical to its (scenario, units) "
+              "reference, every serving session to its cell's first "
+              "session; all invariants held. References:\n");
+  for (const std::string& line : references) {
+    std::printf("  %s\n", line.c_str());
+  }
   return 0;
 }

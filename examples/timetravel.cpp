@@ -4,7 +4,7 @@
 //   timetravel [WORLD_DIR]   # default: ./timetravel_world
 //
 // The run advances the battle scenario 25 ticks against a disk-backed
-// world (buffer-pool pages + write-ahead delta log under WORLD_DIR,
+// world (checkpointed pages + write-ahead delta log under WORLD_DIR,
 // checkpoint every 20 ticks), then:
 //
 //   1. re-opens the directory read-only and materializes a past tick
@@ -34,7 +34,6 @@ int main(int argc, char** argv) {
   config.eval_mode = EvaluatorMode::kIndexed;
   config.storage.path = dir;
   config.storage.page_size = 4096;
-  config.storage.pool_pages = 64;
   config.storage.checkpoint_every = 20;
 
   auto& registry = ScenarioRegistry::Global();

@@ -170,10 +170,11 @@ struct SimulationConfig {
   /// metrics lines, the flight recorder.
   ArtifactConfig artifacts;
 
-  /// Disk-backed world (src/storage/): buffer-pool pages under the
+  /// Disk-backed world (src/storage/): checkpointed pages of the
   /// environment table plus a write-ahead delta log, giving crash
-  /// recovery, O(delta) checkpoints, time travel, and out-of-core
-  /// tables. Disabled (empty path) by default — the in-memory engine
+  /// recovery, checkpoints that write only the pages touched since the
+  /// last one, and time travel. The table stays wholly in memory.
+  /// Disabled (empty path) by default — the in-memory engine
   /// then runs with zero storage overhead. Storage-backed runs are
   /// bit-exact with in-memory runs for every evaluator mode and thread
   /// count (tests/storage_test.cc enforces it).

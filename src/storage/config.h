@@ -14,7 +14,8 @@ namespace sgl {
 
 /// Durable-world settings. Leaving `path` empty (the default) keeps the
 /// simulation purely in memory with zero storage overhead — no listener
-/// on the table, no pages, no log.
+/// on the table, no pages, no log. With a path, every tick appends to the
+/// write-ahead log.
 struct StorageConfig {
   /// Directory for the world's files (pages.sgl, wal.sgl, MANIFEST.sgl,
   /// inlet.sgl). Created if absent. Empty = storage disabled.
@@ -22,15 +23,6 @@ struct StorageConfig {
 
   /// Bytes per on-disk page (24-byte header + 8-byte cells).
   int32_t page_size = 8192;
-
-  /// Buffer-pool budget in pages. Capping this below the table's page
-  /// count gives out-of-core operation (every tick faults and evicts).
-  int32_t pool_pages = 256;
-
-  /// Append per-tick delta records to the write-ahead log. Disabling
-  /// this keeps checkpoints but loses replay (no crash recovery or
-  /// time-travel between checkpoints).
-  bool wal = true;
 
   /// Checkpoint automatically every N ticks (0 = only explicit
   /// Simulation::Checkpoint calls).

@@ -1,5 +1,5 @@
-// On-disk page format shared by the page file, the buffer pool, and the
-// manifest (src/storage/).
+// On-disk page format shared by the page file, the world store, the WAL
+// and the manifest (src/storage/).
 //
 // A page is a fixed-size block: a 24-byte little-endian header followed
 // by the payload. Every multi-byte field is written byte-by-byte in

@@ -1,16 +1,16 @@
 // PageFile — positioned POSIX I/O over the world's page file.
 //
 // Each logical page owns two physical slots (a ping-pong pair): the slot
-// the latest manifest committed, and a scratch slot that absorbs every
-// write between checkpoints. Physical offset = (page * 2 + slot) *
-// page_size. Checkpointing flips the committed bit per touched page and
-// publishes the flips atomically through the manifest rename, so a crash
-// at any instant leaves the previous checkpoint's image untouched on
-// disk — classic shadow paging, sized for exactly two versions.
+// the latest manifest committed, and a scratch slot the next checkpoint
+// writes. Physical offset = (page * 2 + slot) * page_size. Checkpointing
+// writes each page touched since the last one to its scratch slot,
+// flips its committed bit, and publishes the flips atomically through
+// the manifest rename, so a crash at any instant leaves the previous
+// checkpoint's image untouched on disk — classic shadow paging, sized
+// for exactly two versions.
 //
 // The file descriptor is used with pread/pwrite (no shared cursor), so
-// the buffer pool can serve concurrent reads under one mutex without
-// seek races.
+// a page's offset is the only state a read or write needs.
 #ifndef SGL_STORAGE_PAGE_FILE_H_
 #define SGL_STORAGE_PAGE_FILE_H_
 

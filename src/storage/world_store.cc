@@ -26,10 +26,6 @@ Status StorageConfig::Validate() const {
         "SimulationConfig: storage.page_size must be in [64, 4194304], got ",
         page_size);
   }
-  if (pool_pages < 4) {
-    return Status::Invalid(
-        "SimulationConfig: storage.pool_pages must be >= 4, got ", pool_pages);
-  }
   if (checkpoint_every < 0) {
     return Status::Invalid(
         "SimulationConfig: storage.checkpoint_every must be >= 0, got ",
@@ -171,27 +167,18 @@ Result<std::unique_ptr<WorldStore>> WorldStore::Open(
   if (!store->wal_refusal_.ok() && !store->wal_.is_open()) {
     return store->wal_refusal_;
   }
-  store->pool_ = std::make_unique<BufferPool>(&store->file_, config.page_size,
-                                              config.pool_pages);
+  store->page_buf_.resize(static_cast<size_t>(config.page_size));
   store->manifest_path_ = config.path + kManifestFile;
   store->has_world_ = HasWorld(config.path);
   if (metrics != nullptr) {
-    // Exec-dependent: pool traffic depends on eviction order and whether
-    // storage is even on, so the deterministic metric subset stays
-    // comparable between storage-backed and in-memory runs.
+    // Exec-dependent: these exist only when storage is on, so the
+    // deterministic metric subset stays comparable between storage-backed
+    // and in-memory runs.
     const uint32_t exec_dep = obs::kMetricExecDependent;
     store->wal_bytes_ = metrics->GetCounter("storage.wal.bytes", exec_dep);
     store->wal_records_ = metrics->GetCounter("storage.wal.records", exec_dep);
     store->fsyncs_ = metrics->GetCounter("storage.fsyncs", exec_dep);
     store->checkpoints_ = metrics->GetCounter("storage.checkpoints", exec_dep);
-    store->pool_hits_ = metrics->GetCounter("storage.pool.hits", exec_dep);
-    store->pool_misses_ = metrics->GetCounter("storage.pool.misses", exec_dep);
-    store->pool_evictions_ =
-        metrics->GetCounter("storage.pool.evictions", exec_dep);
-    store->pool_->BindMetrics(store->pool_hits_, store->pool_misses_,
-                              store->pool_evictions_);
-    metrics->GetGauge("storage.pool.pages", exec_dep)
-        ->Set(config.pool_pages);
   }
   return store;
 }
@@ -217,8 +204,8 @@ void WorldStore::OnAddRow(int64_t key, RowId row,
   op.key = key;
   op.values = values;
   ops_.push_back(std::move(op));
-  // The structural rewrite re-pages every row from `row` up, so the new
-  // row's cells need no page writes of their own.
+  // Every page from `row`'s chunk up becomes dirty, so the new row's
+  // cells need no marks of their own.
   if (struct_min_ < 0 || row < struct_min_) struct_min_ = row;
 }
 
@@ -249,68 +236,56 @@ std::vector<WorldStore::CellRun> WorldStore::DirtyRuns(
   return runs;
 }
 
-// --- page-cache maintenance ------------------------------------------------
+// --- dirty pages ------------------------------------------------------------
 
-Status WorldStore::RewriteRows(const EnvironmentTable& table, RowId from_row) {
-  const RowId n = table.NumRows();
-  const int64_t first_chunk = from_row / rows_per_page_;
-  const int64_t num_chunks = (n + rows_per_page_ - 1) / rows_per_page_;
-  for (int64_t chunk = first_chunk; chunk < num_chunks; ++chunk) {
-    const RowId begin = static_cast<RowId>(chunk * rows_per_page_);
-    const RowId end = std::min(n, begin + rows_per_page_);
-    for (int32_t slot = 0; slot < num_slots_; ++slot) {
-      // create=true: the whole payload is about to be overwritten, so a
-      // fresh zeroed frame beats a disk read even for existing pages.
-      SGL_ASSIGN_OR_RETURN(
-          auto pinned, pool_->Pin(chunk * num_slots_ + slot, /*create=*/true));
-      if (slot == 0) {
-        for (RowId r = begin; r < end; ++r) {
-          StoreLE(pinned.payload + CellOffset(r),
-                  static_cast<uint64_t>(table.KeyAt(r)), 8);
-        }
-      } else {
-        StoreDoublesLE(pinned.payload, table.Column(slot).data() + begin,
-                       static_cast<size_t>(end - begin));
-      }
-      pool_->Unpin(pinned, /*dirty=*/true);
-    }
-  }
-  return Status::OK();
-}
-
-Status WorldStore::FlushPoolDeltas(const EnvironmentTable& table,
-                                   const std::vector<CellRun>& runs) {
+void WorldStore::MarkDirty(const EnvironmentTable& table,
+                           const std::vector<CellRun>& runs) {
   ops_.clear();  // already logged by CommitTick, or in the checkpoint image
-  if (struct_min_ < 0 && runs.empty()) return Status::OK();
-  if (num_slots_ == 0) SetLayout(table.schema());
-  RowId rewritten_from = table.NumRows();
-  if (struct_min_ >= 0) {
-    rewritten_from = struct_min_;
-    SGL_RETURN_NOT_OK(RewriteRows(table, struct_min_));
+  if (struct_min_ < 0 && runs.empty()) return;
+  const RowId n = table.NumRows();
+  const PageId num_pages = NumPages(n);
+  if (static_cast<PageId>(dirty_.size()) < num_pages) {
+    dirty_.resize(static_cast<size_t>(num_pages), 0);
   }
-  // Rows from `rewritten_from` up are already on their pages. Below it,
-  // each run stores one slice per (chunk, attribute) page it touches.
+  RowId rewritten_from = n;
+  if (struct_min_ >= 0) {
+    rewritten_from = std::min(n, struct_min_);
+    for (PageId id = PageOf(struct_min_, 0); id < num_pages; ++id) {
+      dirty_[id] = 1;
+    }
+    struct_min_ = -1;
+  }
+  // Pages from `rewritten_from`'s chunk up are already dirty. Below it,
+  // each run marks one page per (chunk, attribute) it touches.
   std::vector<AttrId> attrs;
   for (const CellRun& run : runs) {
     const RowId end = std::min(run.end, rewritten_from);
     if (run.begin >= end) continue;
     ExpandMask(run.mask, &attrs);
-    for (RowId lo = run.begin; lo < end;) {
-      const RowId chunk = lo / rows_per_page_;
-      const RowId hi = std::min(end, (chunk + 1) * rows_per_page_);
-      for (AttrId a : attrs) {
-        SGL_ASSIGN_OR_RETURN(auto pinned,
-                             pool_->Pin(PageOf(lo, a), /*create=*/false));
-        StoreDoublesLE(pinned.payload + CellOffset(lo),
-                       table.Column(a).data() + lo,
-                       static_cast<size_t>(hi - lo));
-        pool_->Unpin(pinned, /*dirty=*/true);
-      }
-      lo = hi;
+    for (RowId lo = run.begin; lo < end;
+         lo = (lo / rows_per_page_ + 1) * rows_per_page_) {
+      for (AttrId a : attrs) dirty_[PageOf(lo, a)] = 1;
     }
   }
-  struct_min_ = -1;
-  return Status::OK();
+}
+
+void WorldStore::EncodePage(const EnvironmentTable& table, PageId id) {
+  const int32_t slot = static_cast<int32_t>(id % num_slots_);
+  const RowId begin = static_cast<RowId>(id / num_slots_) * rows_per_page_;
+  const RowId end = std::min(table.NumRows(), begin + rows_per_page_);
+  uint8_t* payload = page_buf_.data() + kPageHeaderBytes;
+  const size_t used = static_cast<size_t>(end - begin) * 8;
+  if (slot == 0) {
+    for (RowId r = begin; r < end; ++r) {
+      StoreLE(payload + CellOffset(r), static_cast<uint64_t>(table.KeyAt(r)),
+              8);
+    }
+  } else {
+    StoreDoublesLE(payload, table.Column(slot).data() + begin,
+                   static_cast<size_t>(end - begin));
+  }
+  std::memset(payload + used, 0,
+              page_buf_.size() - kPageHeaderBytes - used);
 }
 
 // --- the per-tick WAL append ----------------------------------------------
@@ -325,70 +300,67 @@ Status WorldStore::CommitTick(const EnvironmentTable& table, int64_t tick) {
   }
   if (num_slots_ == 0) SetLayout(table.schema());
   const std::vector<CellRun> runs = DirtyRuns(table.storage_changes());
-  if (config_.wal) {
-    int64_t bytes = 0;
-    int64_t records = 0;
-    std::string body;
-    WalAppendLE(&body, static_cast<uint64_t>(tick), 8);
-    SGL_RETURN_NOT_OK(wal_.Append(WalRecordType::kTickBegin, body, &bytes));
-    ++records;
-    for (const StructOp& op : ops_) {
-      body.clear();
-      if (op.add) {
-        WalAppendLE(&body, static_cast<uint64_t>(op.key), 8);
-        WalAppendLE(&body, op.values.size(), 4);
-        for (double v : op.values) WalAppendLE(&body, PackDouble(v), 8);
-        SGL_RETURN_NOT_OK(wal_.Append(WalRecordType::kAddRow, body, &bytes));
-      } else {
-        WalAppendLE(&body, op.keys.size(), 4);
-        for (int64_t k : op.keys) {
-          WalAppendLE(&body, static_cast<uint64_t>(k), 8);
-        }
-        SGL_RETURN_NOT_OK(
-            wal_.Append(WalRecordType::kRemoveRows, body, &bytes));
-      }
-      ++records;
-    }
-    // One CellDeltas record: per run, its row range and mask, then each
-    // masked attribute's final values, contiguous (layout in wal.h).
-    std::vector<std::vector<AttrId>> run_attrs(runs.size());
-    size_t size = 4;
-    for (size_t i = 0; i < runs.size(); ++i) {
-      ExpandMask(runs[i].mask, &run_attrs[i]);
-      const size_t n = static_cast<size_t>(runs[i].end - runs[i].begin);
-      size += kCellRunHeaderBytes + run_attrs[i].size() * n * 8;
-    }
-    body.assign(size, '\0');
-    uint8_t* out = reinterpret_cast<uint8_t*>(&body[0]);
-    StoreLE(out, runs.size(), 4);
-    out += 4;
-    for (size_t i = 0; i < runs.size(); ++i) {
-      const CellRun& run = runs[i];
-      const size_t n = static_cast<size_t>(run.end - run.begin);
-      StoreLE(out, static_cast<uint64_t>(run.begin), 4);
-      StoreLE(out + 4, n, 4);
-      StoreLE(out + 8, run.mask, 8);
-      out += kCellRunHeaderBytes;
-      for (AttrId a : run_attrs[i]) {
-        StoreDoublesLE(out, table.Column(a).data() + run.begin, n);
-        out += n * 8;
-      }
-    }
-    SGL_RETURN_NOT_OK(wal_.Append(WalRecordType::kCellDeltas, body, &bytes));
-    ++records;
+  int64_t bytes = 0;
+  int64_t records = 0;
+  std::string body;
+  WalAppendLE(&body, static_cast<uint64_t>(tick), 8);
+  SGL_RETURN_NOT_OK(wal_.Append(WalRecordType::kTickBegin, body, &bytes));
+  ++records;
+  for (const StructOp& op : ops_) {
     body.clear();
-    WalAppendLE(&body, static_cast<uint64_t>(tick), 8);
-    WalAppendLE(&body, static_cast<uint64_t>(table.next_key()), 8);
-    WalAppendLE(&body, static_cast<uint64_t>(table.NumRows()), 4);
-    SGL_RETURN_NOT_OK(wal_.Append(WalRecordType::kTickCommit, body, &bytes));
+    if (op.add) {
+      WalAppendLE(&body, static_cast<uint64_t>(op.key), 8);
+      WalAppendLE(&body, op.values.size(), 4);
+      for (double v : op.values) WalAppendLE(&body, PackDouble(v), 8);
+      SGL_RETURN_NOT_OK(wal_.Append(WalRecordType::kAddRow, body, &bytes));
+    } else {
+      WalAppendLE(&body, op.keys.size(), 4);
+      for (int64_t k : op.keys) {
+        WalAppendLE(&body, static_cast<uint64_t>(k), 8);
+      }
+      SGL_RETURN_NOT_OK(
+          wal_.Append(WalRecordType::kRemoveRows, body, &bytes));
+    }
     ++records;
-    if (wal_bytes_ != nullptr) wal_bytes_->Add(bytes);
-    if (wal_records_ != nullptr) wal_records_->Add(records);
   }
-  SGL_RETURN_NOT_OK(FlushPoolDeltas(table, runs));
+  // One CellDeltas record: per run, its row range and mask, then each
+  // masked attribute's final values, contiguous (layout in wal.h).
+  std::vector<std::vector<AttrId>> run_attrs(runs.size());
+  size_t size = 4;
+  for (size_t i = 0; i < runs.size(); ++i) {
+    ExpandMask(runs[i].mask, &run_attrs[i]);
+    const size_t n = static_cast<size_t>(runs[i].end - runs[i].begin);
+    size += kCellRunHeaderBytes + run_attrs[i].size() * n * 8;
+  }
+  body.assign(size, '\0');
+  uint8_t* out = reinterpret_cast<uint8_t*>(&body[0]);
+  StoreLE(out, runs.size(), 4);
+  out += 4;
+  for (size_t i = 0; i < runs.size(); ++i) {
+    const CellRun& run = runs[i];
+    const size_t n = static_cast<size_t>(run.end - run.begin);
+    StoreLE(out, static_cast<uint64_t>(run.begin), 4);
+    StoreLE(out + 4, n, 4);
+    StoreLE(out + 8, run.mask, 8);
+    out += kCellRunHeaderBytes;
+    for (AttrId a : run_attrs[i]) {
+      StoreDoublesLE(out, table.Column(a).data() + run.begin, n);
+      out += n * 8;
+    }
+  }
+  SGL_RETURN_NOT_OK(wal_.Append(WalRecordType::kCellDeltas, body, &bytes));
+  ++records;
+  body.clear();
+  WalAppendLE(&body, static_cast<uint64_t>(tick), 8);
+  WalAppendLE(&body, static_cast<uint64_t>(table.next_key()), 8);
+  WalAppendLE(&body, static_cast<uint64_t>(table.NumRows()), 4);
+  SGL_RETURN_NOT_OK(wal_.Append(WalRecordType::kTickCommit, body, &bytes));
+  ++records;
+  if (wal_bytes_ != nullptr) wal_bytes_->Add(bytes);
+  if (wal_records_ != nullptr) wal_records_->Add(records);
+  MarkDirty(table, runs);
   if (config_.checkpoint_every > 0 &&
       (tick + 1) % config_.checkpoint_every == 0) {
-    // The pool already holds this tick's writes.
     SGL_RETURN_NOT_OK(Publish(table, tick + 1));
   }
   return Status::OK();
@@ -406,24 +378,41 @@ Status WorldStore::Checkpoint(const EnvironmentTable& table, int64_t tick) {
     // manifest that cannot be read protects nothing.
     if (has_world_) {
       Result<Manifest> old = ReadManifest();
-      if (old.ok()) pool_->LoadCommittedBits(std::move(old->committed));
+      if (old.ok()) committed_ = std::move(old->committed);
     }
     struct_min_ = 0;
     synced_ = true;
   }
   // Deltas since the last commit go to the pages only: the image this
   // checkpoint publishes holds them, so no later WAL tick replays them.
-  SGL_RETURN_NOT_OK(
-      FlushPoolDeltas(table, DirtyRuns(table.storage_changes())));
+  MarkDirty(table, DirtyRuns(table.storage_changes()));
   return Publish(table, tick);
 }
 
 Status WorldStore::Publish(const EnvironmentTable& table, int64_t tick) {
-  SGL_RETURN_NOT_OK(pool_->FlushDirty(nullptr));
+  // Pages past the table's last chunk hold no rows the manifest names;
+  // they stay as they are until rows reach them again.
+  const PageId num_pages = std::min(static_cast<PageId>(dirty_.size()),
+                                    NumPages(table.NumRows()));
+  std::vector<uint8_t> committed = committed_;
+  if (static_cast<PageId>(committed.size()) < num_pages) {
+    committed.resize(static_cast<size_t>(num_pages), 0);
+  }
+  for (PageId id = 0; id < num_pages; ++id) {
+    if (!dirty_[id]) continue;
+    EncodePage(table, id);
+    SGL_RETURN_NOT_OK(
+        file_.WriteSlot(id, 1 - committed[id], page_buf_.data()));
+    committed[id] ^= 1;
+  }
   SGL_RETURN_NOT_OK(file_.Sync());
   if (fsyncs_ != nullptr) fsyncs_->Add(1);
-  pool_->PromoteScratch();
-  SGL_RETURN_NOT_OK(WriteManifest(table, tick));
+  // The flips take effect with the manifest that names them; a
+  // checkpoint that fails before then leaves its pages dirty for the
+  // next one, which rewrites the same scratch slots.
+  SGL_RETURN_NOT_OK(WriteManifest(table, tick, committed));
+  committed_ = std::move(committed);
+  dirty_.clear();
   SGL_RETURN_NOT_OK(wal_.Reset(tick));
   wal_refusal_ = Status::OK();
   SGL_RETURN_NOT_OK(wal_.Sync());
@@ -433,7 +422,8 @@ Status WorldStore::Publish(const EnvironmentTable& table, int64_t tick) {
   return Status::OK();
 }
 
-Status WorldStore::WriteManifest(const EnvironmentTable& table, int64_t tick) {
+Status WorldStore::WriteManifest(const EnvironmentTable& table, int64_t tick,
+                                 const std::vector<uint8_t>& committed) {
   std::string out;
   out.append(kManifestMagic, sizeof(kManifestMagic));
   WalAppendLE(&out, kManifestVersion, 2);
@@ -449,7 +439,6 @@ Status WorldStore::WriteManifest(const EnvironmentTable& table, int64_t tick) {
     WalAppendLE(&out, attr.name.size(), 4);
     out.append(attr.name);
   }
-  const std::vector<uint8_t>& committed = pool_->committed_bits();
   WalAppendLE(&out, committed.size(), 4);
   out.append(reinterpret_cast<const char*>(committed.data()),
              committed.size());
@@ -560,21 +549,19 @@ Result<RecoveredWorld> WorldStore::Replay(int64_t target) {
   }
   SGL_ASSIGN_OR_RETURN(Manifest m, ReadManifest());
   SetLayout(m.schema);
-  // Replay reads the durable image, not whatever the pool cached since,
-  // and leaves the cache describing the replayed state rather than the
-  // live table — so the store is unsynced until MarkWorldInstalled.
-  synced_ = false;
-  SGL_RETURN_NOT_OK(pool_->InvalidateAll());
-  pool_->LoadCommittedBits(m.committed);
+  // Replay reads the slots the manifest on disk commits, and the store
+  // adopts them. Scratch slots are written nowhere but inside a
+  // checkpoint, so the live table's dirty bits stay valid.
+  committed_ = m.committed;
   if (target >= 0 && target < m.tick) {
     return Status::Invalid("storage: tick ", target,
                            " predates the checkpoint at tick ", m.tick,
                            " (earlier states were overwritten)");
   }
 
-  // Rebuild the checkpoint image a page at a time: pin each column chunk
-  // once (its checksum verifies on fault), decode it whole, then add the
-  // chunk's rows in row order.
+  // Rebuild the checkpoint image a page at a time: read each column
+  // chunk's committed slot once (ReadSlot verifies its checksum), decode
+  // it whole, then add the chunk's rows in row order.
   EnvironmentTable table{m.schema};
   const size_t num_attrs = static_cast<size_t>(num_slots_ - 1);
   std::vector<int64_t> keys(static_cast<size_t>(rows_per_page_));
@@ -584,10 +571,12 @@ Result<RecoveredWorld> WorldStore::Replay(int64_t target) {
     const size_t n =
         static_cast<size_t>(std::min(rows_per_page_, m.num_rows - begin));
     for (int32_t slot = 0; slot < num_slots_; ++slot) {
-      SGL_ASSIGN_OR_RETURN(auto page, pool_->Pin(PageOf(begin, slot),
-                                                 /*create=*/false));
+      const PageId id = PageOf(begin, slot);
+      SGL_RETURN_NOT_OK(file_.ReadSlot(id, CommittedSlot(id), page_buf_.data(),
+                                       /*missing_ok=*/false));
+      const uint8_t* payload = page_buf_.data() + kPageHeaderBytes;
       for (size_t r = 0; r < n; ++r) {
-        const uint64_t bits = LoadLE(page.payload + r * 8, 8);
+        const uint64_t bits = LoadLE(payload + r * 8, 8);
         if (slot == 0) {
           keys[r] = static_cast<int64_t>(bits);
         } else {
@@ -595,7 +584,6 @@ Result<RecoveredWorld> WorldStore::Replay(int64_t target) {
               UnpackDouble(bits);
         }
       }
-      pool_->Unpin(page, /*dirty=*/false);
     }
     for (size_t r = 0; r < n; ++r) {
       const double* row = chunk.data() + r * num_attrs;
@@ -761,8 +749,8 @@ Result<RecoveredWorld> WorldStore::Replay(int64_t target) {
 void WorldStore::MarkWorldInstalled() {
   synced_ = true;
   ops_.clear();
-  // Cached pages hold checkpoint-state bytes; the WAL replay that built
-  // the installed table never touched them. Resync from row 0.
+  // The durable image holds checkpoint-state bytes; the WAL replay that
+  // built the installed table never touched it. Every page is dirty.
   struct_min_ = 0;
 }
 

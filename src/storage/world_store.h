@@ -1,4 +1,4 @@
-// WorldStore — the durable world behind EnvironmentTable: buffer-pool
+// WorldStore — the durable world behind EnvironmentTable: checksummed
 // pages + write-ahead delta log + manifest, one directory per world.
 //
 // Files under StorageConfig::path:
@@ -13,9 +13,13 @@
 // Page mapping: rows are split into chunks of rows_per_page; page id =
 // chunk * num_slots + slot, where slot 0 holds the keys column and slot
 // a holds attribute a. Cells are 8 bytes (raw IEEE-754 bits for attrs),
-// so every table value round-trips exactly.
+// so every table value round-trips exactly; a page's tail past the
+// table's last row is zero.
 //
-// The store reads the live table's storage change window
+// The table is the page cache: it holds every column in memory, so the
+// store keeps no page bytes of its own, only two bits per page — the
+// slot the manifest commits and whether the page changed since the last
+// checkpoint. It reads the live table's storage change window
 // (EnvironmentTable::storage_changes(): one attribute mask per row plus
 // the dirty rows, open while the store is the table's delta listener)
 // and itself keeps the structural ops (TableDeltaListener) in occurrence
@@ -23,21 +27,23 @@
 // the window's dirty rows into runs of consecutive rows and appends one
 // tick record to the WAL: the structural ops, then one column-major
 // CellDeltas record holding each run's final end-of-tick values (layout
-// in wal.h). It writes the same runs to the page cache, pinning each
-// touched (chunk, attribute) page once. Checkpoint writes them to the
-// page cache without logging: the checkpoint image already holds those
-// writes, so writes made between ticks never reach the next tick's WAL
-// record. After either call the table's owner clears the window
-// (ClearStorageChanges); the engine's tick never does.
+// in wal.h). It then marks dirty each (chunk, attribute) page a run
+// touches, and every page from the lowest structurally rewritten row's
+// chunk up. Checkpoint marks the same pages without logging: the
+// checkpoint image already holds those writes, so writes made between
+// ticks never reach the next tick's WAL record. After either call the
+// table's owner clears the window (ClearStorageChanges); the engine's
+// tick never does. Ticks never read or write pages.sgl.
 //
-// Checkpoint = flush dirty frames to scratch slots, fsync, promote the
-// scratch slots, publish the manifest (WriteFileAtomically), truncate
-// the WAL. Cost is O(pages touched since the last checkpoint), not
-// O(table); the first checkpoint of a store writes the full image, into
-// the slots an existing manifest does not commit. Recover/Materialize =
-// load the manifest's committed image a page at a time and replay
-// committed WAL ticks; a torn trailing tick (crash mid-append) is
-// dropped, a checksum failure anywhere is corruption.
+// Checkpoint = encode each dirty page from the table into its scratch
+// slot, fsync, flip those pages' committed bits, publish the manifest
+// (WriteFileAtomically), truncate the WAL. Cost is O(pages touched since
+// the last checkpoint), not O(table); the first checkpoint of a store
+// writes the full image, into the slots an existing manifest does not
+// commit. Recover/Materialize = load the manifest's committed image a
+// page at a time and replay committed WAL ticks; a torn trailing tick
+// (crash mid-append) is dropped, a checksum failure anywhere is
+// corruption.
 #ifndef SGL_STORAGE_WORLD_STORE_H_
 #define SGL_STORAGE_WORLD_STORE_H_
 
@@ -48,7 +54,6 @@
 
 #include "env/table.h"
 #include "obs/metrics.h"
-#include "storage/buffer_pool.h"
 #include "storage/config.h"
 #include "storage/page_file.h"
 #include "storage/wal.h"
@@ -92,7 +97,6 @@ class WorldStore : public TableDeltaListener {
   /// world exists and CommitTick refuses to run until the simulation
   /// either restores from it or explicitly checkpoints over it.
   bool has_world() const { return has_world_; }
-  bool synced() const { return synced_; }
 
   /// Publish `table` at state `tick` as the new durable checkpoint and
   /// truncate the WAL. On the first checkpoint into a directory (or
@@ -101,7 +105,7 @@ class WorldStore : public TableDeltaListener {
   Status Checkpoint(const EnvironmentTable& table, int64_t tick);
 
   /// End-of-tick hook: append tick `tick`'s delta records to the WAL,
-  /// sync the page cache with the table, and auto-checkpoint when
+  /// mark the pages they touch dirty, and auto-checkpoint when
   /// checkpoint_every divides the new state tick. The caller then clears
   /// the table's storage window, as after a Checkpoint of its live table.
   Status CommitTick(const EnvironmentTable& table, int64_t tick);
@@ -115,8 +119,8 @@ class WorldStore : public TableDeltaListener {
   Result<RecoveredWorld> Materialize(int64_t tick);
 
   /// The simulation installed a table that matches the durable world
-  /// (RestoreFrom) — ticking may proceed, and the next pool flush must
-  /// rewrite from row 0 because cached pages predate the install.
+  /// (RestoreFrom) — ticking may proceed, and every page is dirty
+  /// because the durable image predates the install.
   void MarkWorldInstalled();
 
   // TableDeltaListener — fed by the live table; driver thread only.
@@ -151,25 +155,40 @@ class WorldStore : public TableDeltaListener {
     return static_cast<PageId>(row / rows_per_page_) * num_slots_ + slot;
   }
   int32_t CellOffset(RowId row) const { return (row % rows_per_page_) * 8; }
+  /// Pages covering `rows` rows: every slot of each chunk they start.
+  PageId NumPages(RowId rows) const {
+    return static_cast<PageId>((rows + rows_per_page_ - 1) / rows_per_page_) *
+           num_slots_;
+  }
 
   /// Append attr ids 1..k selected by a TableChanges-style bit mask
   /// (bit min(a, 63); bit 63 is coarse and expands to all attrs >= 63).
   void ExpandMask(uint64_t mask, std::vector<AttrId>* out) const;
 
-  /// Rewrite every page covering rows >= from_row from `table`.
-  Status RewriteRows(const EnvironmentTable& table, RowId from_row);
-
-  /// Bring cached pages up to date with `table`: rewrite from the lowest
-  /// structurally touched row, store `runs` below it, and forget the
+  /// Mark dirty every page from the lowest structurally touched row's
+  /// chunk up and each (chunk, attribute) page of `runs`, and forget the
   /// structural ops.
-  Status FlushPoolDeltas(const EnvironmentTable& table,
-                         const std::vector<CellRun>& runs);
+  void MarkDirty(const EnvironmentTable& table,
+                 const std::vector<CellRun>& runs);
 
-  /// Checkpoint's tail, once the pool matches `table`: flush, fsync,
-  /// promote, publish the manifest, truncate the WAL.
+  /// The slot the latest manifest commits for `id` (0 for pages it does
+  /// not name).
+  int32_t CommittedSlot(PageId id) const {
+    return id < static_cast<PageId>(committed_.size()) ? committed_[id] : 0;
+  }
+
+  /// Encode page `id` from `table` into page_buf_'s payload.
+  void EncodePage(const EnvironmentTable& table, PageId id);
+
+  /// Checkpoint's tail, once the dirty bits cover `table`'s changes:
+  /// write the dirty pages' scratch slots, fsync, publish the manifest
+  /// with their committed bits flipped, truncate the WAL.
   Status Publish(const EnvironmentTable& table, int64_t tick);
 
-  Status WriteManifest(const EnvironmentTable& table, int64_t tick);
+  /// Publish `table`'s manifest at `tick` with the committed-slot bits
+  /// `committed`.
+  Status WriteManifest(const EnvironmentTable& table, int64_t tick,
+                       const std::vector<uint8_t>& committed);
   struct Manifest {
     int64_t tick = 0;
     int64_t next_key = 0;
@@ -186,7 +205,9 @@ class WorldStore : public TableDeltaListener {
   std::string manifest_path_;
   PageFile file_;
   WalFile wal_;
-  std::unique_ptr<BufferPool> pool_;
+  std::vector<uint8_t> committed_;  // per page: committed slot (0/1)
+  std::vector<uint8_t> dirty_;      // per page: changed since the checkpoint
+  std::vector<uint8_t> page_buf_;   // one page_size encode/decode buffer
 
   int32_t num_slots_ = 0;      // schema.NumAttrs(); slot 0 = keys
   int32_t rows_per_page_ = 0;  // (page_size - header) / 8
@@ -198,7 +219,7 @@ class WorldStore : public TableDeltaListener {
   Status wal_refusal_;
 
   // Structural ops since the last CommitTick or Checkpoint (cleared by
-  // FlushPoolDeltas); the cell writes are the table's storage window.
+  // MarkDirty); the cell writes are the table's storage window.
   std::vector<StructOp> ops_;
   RowId struct_min_ = -1;  // lowest structurally-affected row; -1 = none
 
@@ -206,9 +227,6 @@ class WorldStore : public TableDeltaListener {
   obs::Counter* wal_records_ = nullptr;
   obs::Counter* fsyncs_ = nullptr;
   obs::Counter* checkpoints_ = nullptr;
-  obs::Counter* pool_hits_ = nullptr;
-  obs::Counter* pool_misses_ = nullptr;
-  obs::Counter* pool_evictions_ = nullptr;
 };
 
 }  // namespace storage

@@ -13,8 +13,8 @@
 //    the schema or rows past the table is refused with kInvalidArgument;
 //    a torn WAL tail (truncation) silently drops the partial tick and
 //    recovers to the last committed one.
-//  * Out-of-core: a pool capped far below the table size completes a
-//    100-tick scenario through eviction, still bit-exact.
+//  * Tiny pages: 128-byte pages (a few rows each) complete a 100-tick
+//    scenario with checkpoints, still bit-exact.
 //  * Time travel: Materialize/RestoreFrom(dir, tick) rebuilds any
 //    logged tick; re-running from it reproduces the original future.
 //  * Tracing: each tick's commit is one storage.commit span inside it.
@@ -23,11 +23,14 @@
 //    leaves the published image intact until its manifest lands, a
 //    stale inlet temp file ignored, and a log of another WAL version
 //    refused on restore but replaced by a checkpoint.
+//  * O(delta) checkpoints: ticks never write pages.sgl, and a checkpoint
+//    after one cell write rewrites only that page's scratch slot.
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -42,7 +45,6 @@
 #include "engine/simulation.h"
 #include "obs/trace.h"
 #include "scenario/scenario.h"
-#include "storage/buffer_pool.h"
 #include "storage/page.h"
 #include "storage/page_file.h"
 #include "storage/wal.h"
@@ -51,7 +53,6 @@
 namespace sgl {
 namespace {
 
-using storage::BufferPool;
 using storage::PageFile;
 using storage::WalFile;
 using storage::WalRecord;
@@ -95,7 +96,6 @@ SimulationConfig StorageConfigFor(const std::string& dir, EvaluatorMode mode,
   config.threads = threads;
   config.storage.path = dir;
   config.storage.page_size = 512;  // small pages: many of them, real churn
-  config.storage.pool_pages = 64;
   config.storage.checkpoint_every = checkpoint_every;
   return config;
 }
@@ -108,7 +108,7 @@ std::unique_ptr<Simulation> BuildScenario(const std::string& name,
   return sim.ok() ? std::move(*sim) : nullptr;
 }
 
-// ------------------------------------------------------ page + pool units
+// ------------------------------------------------------------ page units
 
 TEST(PageFileTest, RoundTripsAndRejectsCorruption) {
   const std::string dir = FreshDir("pagefile_unit");
@@ -144,34 +144,6 @@ TEST(PageFileTest, RoundTripsAndRejectsCorruption) {
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(StatusCode::kInvalidArgument, st.code());
   EXPECT_NE(std::string::npos, st.ToString().find("checksum"));
-}
-
-TEST(BufferPoolTest, EvictsThroughTinyPoolAndReadsBack) {
-  const std::string dir = FreshDir("pool_unit");
-  ASSERT_TRUE(storage::MakeDirs(dir).ok());
-  const int32_t page_size = 128;
-  PageFile file;
-  ASSERT_TRUE(file.Open(dir + "/pages.sgl", page_size).ok());
-  BufferPool pool(&file, page_size, /*pool_pages=*/4);
-
-  const int kPages = 12;  // 3x the pool: eviction is mandatory
-  for (storage::PageId p = 0; p < kPages; ++p) {
-    auto pinned = pool.Pin(p, /*create=*/true);
-    ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
-    pinned->payload[0] = static_cast<uint8_t>(0xa0 + p);
-    pool.Unpin(*pinned, /*dirty=*/true);
-  }
-  int64_t written = 0;
-  ASSERT_TRUE(pool.FlushDirty(&written).ok());
-  pool.PromoteScratch();
-
-  for (storage::PageId p = 0; p < kPages; ++p) {
-    auto pinned = pool.Pin(p, /*create=*/false);
-    ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
-    EXPECT_EQ(static_cast<uint8_t>(0xa0 + p), pinned->payload[0])
-        << "page " << p;
-    pool.Unpin(*pinned, /*dirty=*/false);
-  }
 }
 
 TEST(WalFileTest, AppendsReadsAndDistinguishesTornFromCorrupt) {
@@ -246,9 +218,6 @@ TEST(StorageConfigTest, ValidateRejectsBadValues) {
   config.storage.page_size = 32;  // below the floor
   EXPECT_EQ(StatusCode::kInvalidArgument, config.Validate().code());
   config.storage.page_size = 8192;
-  config.storage.pool_pages = 2;
-  EXPECT_EQ(StatusCode::kInvalidArgument, config.Validate().code());
-  config.storage.pool_pages = 64;
   config.storage.checkpoint_every = -1;
   EXPECT_EQ(StatusCode::kInvalidArgument, config.Validate().code());
   config.storage.checkpoint_every = 0;
@@ -590,31 +559,27 @@ TEST(StorageRecoveryTest, CorruptPageIsRefused) {
   EXPECT_NE(std::string::npos, st.ToString().find("checksum"));
 }
 
-// ---------------------------------------------------------- out of core
+// ------------------------------------------------------------ tiny pages
 
-TEST(StorageOutOfCoreTest, TinyPoolCompletes100Ticks) {
+TEST(StorageTinyPageTest, TinyPagesComplete100Ticks) {
   SimulationConfig mem_config;
   mem_config.eval_mode = EvaluatorMode::kIndexed;
   auto mem = BuildScenario("battle", mem_config);
   ASSERT_NE(nullptr, mem);
   ASSERT_TRUE(mem->Run(100).ok());
 
-  // 80 units at 128-byte pages is ~7 chunks x (1 + attrs) pages, far
-  // beyond 4 frames: every tick faults and evicts.
-  const std::string dir = FreshDir("outofcore_world");
+  // 80 units at 128-byte pages (13 rows each) is 7 chunks x (1 + attrs)
+  // pages, the last one partly past the table's end.
+  const std::string dir = FreshDir("tiny_page_world");
   SimulationConfig config =
       StorageConfigFor(dir, EvaluatorMode::kIndexed, 1,
                        /*checkpoint_every=*/10);
   config.storage.page_size = 128;
-  config.storage.pool_pages = 4;
   auto durable = BuildScenario("battle", config);
   ASSERT_NE(nullptr, durable);
   ASSERT_TRUE(durable->Run(100).ok());
   EXPECT_TRUE(durable->table().Equals(mem->table()))
       << durable->table().DiffString(mem->table());
-
-  const std::string json = durable->MetricsJson();
-  EXPECT_NE(std::string::npos, json.find("storage.pool.evictions"));
 }
 
 // ----------------------------------------------------------- time travel
@@ -804,6 +769,94 @@ TEST(StorageCheckpointTest, OverwriteKeepsThePublishedImageUntilItsManifest) {
   ASSERT_TRUE(st.ok()) << st.ToString();
   EXPECT_EQ(4, sim->tick_count());
   EXPECT_TRUE(sim->table().Equals(first)) << sim->table().DiffString(first);
+}
+
+/// The committed-slot bit per page from a manifest's bytes (layout in
+/// WorldStore::WriteManifest): magic, version, tick, next key, row
+/// count, page size, the schema, then the bits and a checksum.
+std::vector<uint8_t> CommittedBits(const std::string& manifest) {
+  const uint8_t* data = reinterpret_cast<const uint8_t*>(manifest.data());
+  size_t pos = 6 + 2 + 8 + 8 + 4 + 4;
+  const uint64_t num_attrs = storage::LoadLE(data + pos, 4);
+  pos += 4;
+  for (uint64_t a = 0; a < num_attrs; ++a) {
+    pos += 1 + 4 + storage::LoadLE(data + pos + 1, 4);  // combine, name
+  }
+  const uint64_t num_pages = storage::LoadLE(data + pos, 4);
+  pos += 4;
+  EXPECT_EQ(manifest.size(), pos + num_pages + 8);
+  return std::vector<uint8_t>(data + pos, data + pos + num_pages);
+}
+
+TEST(StorageCheckpointTest, TicksLeavePagesAloneAndCheckpointsWriteOnlyDelta) {
+  const std::string dir = FreshDir("delta_ckpt");
+  const std::string pages_path = dir + "/pages.sgl";
+  const std::string manifest_path = dir + "/MANIFEST.sgl";
+  const SimulationConfig config =
+      StorageConfigFor(dir, EvaluatorMode::kIndexed, 1);
+  auto sim = BuildScenario("battle", config);
+  ASSERT_NE(nullptr, sim);
+  ASSERT_TRUE(sim->Run(3).ok());
+  ASSERT_TRUE(sim->Checkpoint(dir).ok());
+
+  // Ticks log to the WAL only.
+  const std::string checkpointed = ReadFile(pages_path);
+  ASSERT_TRUE(sim->Run(5).ok());
+  EXPECT_TRUE(ReadFile(pages_path) == checkpointed)
+      << "a tick without a checkpoint wrote pages.sgl";
+
+  // One cell in chunk 1, then a checkpoint: one page's scratch slot.
+  ASSERT_TRUE(sim->Checkpoint(dir).ok());
+  const std::string before = ReadFile(pages_path);
+  const std::vector<uint8_t> bits_before =
+      CommittedBits(ReadFile(manifest_path));
+  const int32_t page_size = config.storage.page_size;
+  const RowId rows_per_page = (page_size - storage::kPageHeaderBytes) / 8;
+  const RowId row = rows_per_page + 1;
+  EnvironmentTable* table = sim->mutable_table();
+  ASSERT_GT(table->NumRows(), row);
+  const AttrId health = table->schema().Find("health");
+  ASSERT_NE(Schema::kInvalidAttr, health);
+  table->Set(row, health, 12345.5);
+  ASSERT_TRUE(sim->Checkpoint(dir).ok());
+  const std::string after = ReadFile(pages_path);
+  const std::vector<uint8_t> bits_after =
+      CommittedBits(ReadFile(manifest_path));
+
+  const storage::PageId page = table->schema().NumAttrs() + health;
+  ASSERT_LT(page, static_cast<storage::PageId>(bits_before.size()));
+  const size_t scratch = static_cast<size_t>(page * 2 + 1 - bits_before[page]);
+  const auto slot_bytes = [&](const std::string& file, size_t slot) {
+    std::string bytes(static_cast<size_t>(page_size), '\0');
+    const size_t off = slot * static_cast<size_t>(page_size);
+    if (off < file.size()) {
+      bytes.replace(0, std::min(bytes.size(), file.size() - off),
+                    file.substr(off, bytes.size()));
+    }
+    return bytes;
+  };
+  const size_t num_slots =
+      std::max(before.size(), after.size()) / static_cast<size_t>(page_size);
+  ASSERT_GT(num_slots, scratch);
+  for (size_t slot = 0; slot < num_slots; ++slot) {
+    EXPECT_EQ(slot == scratch,
+              slot_bytes(before, slot) != slot_bytes(after, slot))
+        << "physical slot " << slot << " (page " << slot / 2 << ")";
+  }
+  ASSERT_EQ(bits_before.size(), bits_after.size());
+  for (size_t p = 0; p < bits_before.size(); ++p) {
+    EXPECT_EQ(static_cast<storage::PageId>(p) == page,
+              bits_before[p] != bits_after[p])
+        << "committed bit of page " << p;
+  }
+
+  const EnvironmentTable live = sim->table().Clone();
+  sim.reset();  // release the directory before the fresh sim opens it
+  auto fresh = BuildScenario("battle", config);
+  ASSERT_NE(nullptr, fresh);
+  Status st = fresh->RestoreFrom(dir);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_TRUE(fresh->table().Equals(live)) << fresh->table().DiffString(live);
 }
 
 TEST(StorageCheckpointTest, StaleTornInletTempIsIgnored) {
