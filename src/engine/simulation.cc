@@ -414,11 +414,13 @@ Status Simulation::InstallWorld(EnvironmentTable table, int64_t tick) {
 namespace {
 
 /// The store behind a checkpoint directory that is not the configured
-/// storage path: default StorageConfig, no metrics, closed on return.
+/// storage path: the default StorageConfig but for `page_size`, no
+/// metrics, closed on return.
 Result<std::unique_ptr<storage::WorldStore>> OpenStoreAt(
-    const std::string& dir) {
+    const std::string& dir, int32_t page_size) {
   StorageConfig config;
   config.path = dir;
+  config.page_size = page_size;
   return storage::WorldStore::Open(config, /*metrics=*/nullptr);
 }
 
@@ -432,7 +434,8 @@ Status Simulation::Checkpoint(const std::string& dir) {
     SGL_RETURN_NOT_OK(store_->Checkpoint(table_, tick_count_));
     table_.ClearStorageChanges();  // the published image holds them
   } else {
-    SGL_ASSIGN_OR_RETURN(auto store, OpenStoreAt(dir));
+    SGL_ASSIGN_OR_RETURN(auto store,
+                         OpenStoreAt(dir, StorageConfig().page_size));
     SGL_RETURN_NOT_OK(store->Checkpoint(table_, tick_count_));
   }
   return inlet_.SaveLog(dir + "/inlet.sgl");
@@ -455,7 +458,11 @@ Status Simulation::RestoreFrom(const std::string& dir, int64_t tick) {
       }
       return Status::NotFound("RestoreFrom: no checkpoint in ", dir);
     }
-    SGL_ASSIGN_OR_RETURN(foreign, OpenStoreAt(dir));
+    // The world there may have been written with any page size; its
+    // manifest records which.
+    SGL_ASSIGN_OR_RETURN(int32_t page_size,
+                         storage::WorldStore::StoredPageSize(dir));
+    SGL_ASSIGN_OR_RETURN(foreign, OpenStoreAt(dir, page_size));
     store = foreign.get();
   }
   storage::RecoveredWorld world;

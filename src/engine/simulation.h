@@ -333,11 +333,12 @@ class Simulation {
   /// torn trailing tick from a crash is dropped); a specific tick
   /// re-materializes exactly that state (time travel over
   /// [checkpoint_tick, latest]; an image written to a directory other
-  /// than the storage path covers only its own tick). A directory with
-  /// no world is NotFound and is left untouched; one holding only the
-  /// retired snapshot.sgl format is refused. Restoring commits to the
-  /// chosen timeline: with storage on, a fresh checkpoint is published
-  /// at the restored tick.
+  /// than the storage path covers only its own tick). Any directory but
+  /// the storage path is read with the page size its manifest records.
+  /// A directory with no world is NotFound and is left untouched; one
+  /// holding only the retired snapshot.sgl format is refused. Restoring
+  /// commits to the chosen timeline: with storage on, a fresh checkpoint
+  /// is published at the restored tick.
   Status RestoreFrom(const std::string& dir, int64_t tick = -1);
 
   /// Write every enabled observability artifact into `dir` (created if

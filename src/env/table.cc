@@ -23,19 +23,26 @@ Status EnvironmentTable::AddRowWithKey(int64_t key,
     return Status::Invalid("AddRow: expected ", schema_.NumAttrs() - 1,
                            " values, got ", values.size());
   }
-  if (key_to_row_.count(key) > 0) {
+  if (key_to_row_.Find(key) >= 0) {
     return Status::AlreadyExists("key ", key, " already present");
   }
   RowId row = NumRows();
   keys_.push_back(key);
   for (size_t c = 0; c < cols_.size(); ++c) cols_[c].push_back(values[c]);
-  key_to_row_[key] = row;
+  key_to_row_.Put(key, row);
   next_key_ = std::max(next_key_, key + 1);
   if (listener_ != nullptr) {
     storage_changes_.masks.push_back(0);
     listener_->OnAddRow(key, row, values);
   }
   return Status::OK();
+}
+
+void EnvironmentTable::Reserve(int32_t rows) {
+  keys_.reserve(rows);
+  for (std::vector<double>& col : cols_) col.reserve(rows);
+  key_to_row_.Reserve(rows);
+  if (listener_ != nullptr) storage_changes_.masks.reserve(rows);
 }
 
 void EnvironmentTable::ResetEffects() {
@@ -72,7 +79,7 @@ int32_t EnvironmentTable::RemoveIf(const std::function<bool(RowId)>& pred) {
   std::vector<int64_t> removed_keys;
   for (RowId in = 0; in < n; ++in) {
     if (pred(in)) {
-      key_to_row_.erase(keys_[in]);
+      key_to_row_.Erase(keys_[in]);
       if (listener_ != nullptr) {
         if (first_removed < 0) first_removed = in;
         removed_keys.push_back(keys_[in]);
@@ -82,7 +89,7 @@ int32_t EnvironmentTable::RemoveIf(const std::function<bool(RowId)>& pred) {
     if (out != in) {
       keys_[out] = keys_[in];
       for (auto& col : cols_) col[out] = col[in];
-      key_to_row_[keys_[out]] = out;
+      key_to_row_.Put(keys_[out], out);
       if (listener_ != nullptr) {
         storage_changes_.masks[out] = storage_changes_.masks[in];
       }

@@ -13,9 +13,9 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "env/key_index.h"
 #include "env/schema.h"
 #include "util/status.h"
 
@@ -84,13 +84,14 @@ class EnvironmentTable {
   /// Append a unit with an explicit key (must be unused).
   Status AddRowWithKey(int64_t key, const std::vector<double>& values);
 
+  /// Make room for `rows` rows in total, so adding up to that many
+  /// allocates nothing more.
+  void Reserve(int32_t rows);
+
   int64_t KeyAt(RowId row) const { return keys_[row]; }
 
   /// Row holding `key`, or -1.
-  RowId RowOf(int64_t key) const {
-    auto it = key_to_row_.find(key);
-    return it == key_to_row_.end() ? -1 : it->second;
-  }
+  RowId RowOf(int64_t key) const { return key_to_row_.Find(key); }
   bool HasKey(int64_t key) const { return RowOf(key) >= 0; }
 
   /// Read attribute `attr` of row `row`. Reading attr 0 returns the key.
@@ -173,7 +174,7 @@ class EnvironmentTable {
   Schema schema_;
   std::vector<int64_t> keys_;
   std::vector<std::vector<double>> cols_;  // cols_[i] is attribute i+1
-  std::unordered_map<int64_t, RowId> key_to_row_;
+  KeyIndex key_to_row_;
   int64_t next_key_ = 0;
   TableDeltaListener* listener_ = nullptr;
   TableChanges storage_changes_;  // the change window, open while listener_

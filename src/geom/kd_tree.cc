@@ -6,15 +6,16 @@
 
 namespace sgl {
 
-KdTree2D::KdTree2D(const std::vector<PointRef>& points,
-                   const std::vector<int64_t>& keys) {
+void KdTree2D::Rebuild(const std::vector<PointRef>& points,
+                       const std::vector<int64_t>& keys) {
   n_ = static_cast<int32_t>(points.size());
+  nodes_.clear();
+  root_ = -1;
   if (n_ == 0) return;
-  pts_.resize(n_);
+  ResizeRetained(&pts_, n_);
   for (int32_t i = 0; i < n_; ++i) {
     pts_[i] = Pt{points[i].x, points[i].y, keys[points[i].id], points[i].id};
   }
-  nodes_.reserve(static_cast<size_t>(2 * n_));
   root_ = Build(0, n_);
 }
 

@@ -4,7 +4,8 @@
 // kD-tree [Bentley 1990]; the categorical parts of the selection (player,
 // unit type) are handled by building one tree per partition (the hash
 // layer of Section 5.3.1), and ordered non-spatial attributes by the
-// LayeredKdForest below. The tree is static and rebuilt per tick.
+// LayeredKdForest below. The tree is rebuilt per tick, in place: Rebuild
+// refills the flat point and node arrays, keeping their storage.
 //
 // Distances are squared Euclidean — exact for integer-valued grid
 // coordinates — and ties are broken by smaller key, so results never
@@ -35,7 +36,15 @@ class KdTree2D {
 
   /// Build over `points`; `keys[p.id]` is each point's identity key.
   KdTree2D(const std::vector<PointRef>& points,
-           const std::vector<int64_t>& keys);
+           const std::vector<int64_t>& keys) {
+    Rebuild(points, keys);
+  }
+
+  /// Replace the contents with a build over `points` (arguments as for
+  /// the constructor). The tree keeps the storage of earlier builds, so
+  /// a rebuild no larger than one before allocates nothing.
+  void Rebuild(const std::vector<PointRef>& points,
+               const std::vector<int64_t>& keys);
 
   /// Nearest point to (qx, qy), excluding any point whose key equals
   /// `exclude_key` (pass a sentinel such as INT64_MIN to exclude nothing).

@@ -5,137 +5,120 @@
 
 namespace sgl {
 
-MinMaxRangeTree2D::MinMaxRangeTree2D(const std::vector<PointRef>& points,
-                                     const std::vector<double>& values,
-                                     const std::vector<int64_t>& keys,
-                                     Mode mode)
-    : mode_(mode) {
+void MinMaxRangeTree2D::Rebuild(const std::vector<PointRef>& points,
+                                const std::vector<double>& values,
+                                const std::vector<int64_t>& keys, Mode mode) {
+  mode_ = mode;
   n_ = static_cast<int32_t>(points.size());
   if (n_ == 0) return;
-  std::vector<int32_t> order(n_);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](int32_t a, int32_t b) {
+  ResizeRetained(&order_, n_);
+  std::iota(order_.begin(), order_.end(), 0);
+  std::sort(order_.begin(), order_.end(), [&](int32_t a, int32_t b) {
     if (points[a].x != points[b].x) return points[a].x < points[b].x;
     if (points[a].y != points[b].y) return points[a].y < points[b].y;
     return points[a].id < points[b].id;
   });
-  xs_sorted_.resize(n_);
-  ys_of_.resize(n_);
-  entry_of_.resize(n_);
+  ResizeRetained(&xs_sorted_, n_);
+  ResizeRetained(&ys_of_, n_);
+  ResizeRetained(&entry_of_, n_);
   const double sign = mode_ == Mode::kMin ? 1.0 : -1.0;
   for (int32_t i = 0; i < n_; ++i) {
-    const PointRef& p = points[order[i]];
+    const PointRef& p = points[order_[i]];
     xs_sorted_[i] = p.x;
     ys_of_[i] = p.y;
     entry_of_[i] = Extremum{sign * values[p.id], keys[p.id]};
   }
-  nodes_.reserve(static_cast<size_t>(2 * n_));
-  root_ = Build(0, n_);
+  const int64_t entries = MergeTreeEntries(n_);
+  ResizeRetained(&off_, 2 * n_ - 1);
+  ResizeRetained(&ys_, entries);
+  ResizeRetained(&seg_, 2 * entries);
+  Build(0, 0, n_, 0);
 }
 
-int32_t MinMaxRangeTree2D::Build(int32_t lo, int32_t hi) {
-  int32_t node_id = static_cast<int32_t>(nodes_.size());
-  nodes_.emplace_back();
-  nodes_[node_id].lo = lo;
-  nodes_[node_id].hi = hi;
-
-  std::vector<Extremum> entries;  // y-ordered entries of this subtree
-  if (hi - lo == 1) {
-    Node& node = nodes_[node_id];
-    node.ys = {ys_of_[lo]};
-    entries = {entry_of_[lo]};
+int64_t MinMaxRangeTree2D::Build(int32_t id, int32_t lo, int32_t hi,
+                                 int64_t off) {
+  off_[id] = off;
+  const int32_t len = hi - lo;
+  double* ys = &ys_[off];
+  Extremum* seg = &seg_[2 * off];
+  int64_t end = off + len;
+  if (len == 1) {
+    ys[0] = ys_of_[lo];
+    seg[1] = entry_of_[lo];
   } else {
-    int32_t mid = lo + (hi - lo) / 2;
-    int32_t left = Build(lo, mid);
-    int32_t right = Build(mid, hi);
-    Node& node = nodes_[node_id];
-    node.left = left;
-    node.right = right;
-    // Merge children's y-lists. Per-node binary search replaces cascading
-    // bridges here; the probe is O(log^2 n) either way because of the
-    // per-node segment tree descent.
-    const Node& ln = nodes_[left];
-    const Node& rn = nodes_[right];
-    const int32_t lsize = static_cast<int32_t>(ln.ys.size());
-    const int32_t rsize = static_cast<int32_t>(rn.ys.size());
-    node.ys.reserve(hi - lo);
-    entries.reserve(hi - lo);
+    const int32_t mid = lo + len / 2;
+    const int64_t loff = end;
+    const int64_t roff = Build(id + 1, lo, mid, loff);
+    end = Build(id + 2 * (mid - lo), mid, hi, roff);
+    // Merge children's y-lists, writing each entry straight from the
+    // child's segment-tree leaf into this node's. Per-node binary search
+    // replaces cascading bridges here; the probe is O(log^2 n) either way
+    // because of the per-node segment tree descent.
+    const int32_t lsize = mid - lo;
+    const int32_t rsize = hi - mid;
+    const double* lys = &ys_[loff];
+    const double* rys = &ys_[roff];
+    const Extremum* lleaf = &seg_[2 * loff + lsize];
+    const Extremum* rleaf = &seg_[2 * roff + rsize];
+    Extremum* leaf = seg + len;
     int32_t li = 0, ri = 0;
-    while (li < lsize || ri < rsize) {
-      bool take_left;
-      if (li >= lsize) {
-        take_left = false;
-      } else if (ri >= rsize) {
-        take_left = true;
-      } else {
-        take_left = ln.ys[li] <= rn.ys[ri];
-      }
+    for (int32_t p = 0; p < len; ++p) {
+      const bool take_left =
+          li < lsize && (ri >= rsize || lys[li] <= rys[ri]);
       if (take_left) {
-        node.ys.push_back(ln.ys[li]);
-        entries.push_back(ln.seg[lsize + li]);  // child leaf entry
-        ++li;
+        ys[p] = lys[li];
+        leaf[p] = lleaf[li++];
       } else {
-        node.ys.push_back(rn.ys[ri]);
-        entries.push_back(rn.seg[rsize + ri]);
-        ++ri;
+        ys[p] = rys[ri];
+        leaf[p] = rleaf[ri++];
       }
     }
   }
 
-  // Bottom-up segment tree over the y-ordered entries: seg[len + i] is
-  // leaf i; seg[p] = min(seg[2p], seg[2p+1]).
-  Node& node = nodes_[node_id];
-  const int32_t len = static_cast<int32_t>(node.ys.size());
-  node.seg.assign(static_cast<size_t>(2 * len), Extremum::None());
-  for (int32_t i = 0; i < len; ++i) node.seg[len + i] = entries[i];
+  // Bottom-up segment tree over the y-ordered leaves: seg[p] =
+  // min(seg[2p], seg[2p+1]); seg[0] is unused.
   for (int32_t p = len - 1; p >= 1; --p) {
-    node.seg[p] = Extremum::Min(node.seg[2 * p], node.seg[2 * p + 1]);
+    seg[p] = Extremum::Min(seg[2 * p], seg[2 * p + 1]);
   }
-  return node_id;
-}
-
-Extremum MinMaxRangeTree2D::SegQuery(const Node& node, int32_t lo,
-                                     int32_t hi) {
-  const int32_t len = static_cast<int32_t>(node.ys.size());
-  Extremum best = Extremum::None();
-  for (int32_t l = lo + len, r = hi + len; l < r; l >>= 1, r >>= 1) {
-    if (l & 1) best = Extremum::Min(best, node.seg[l++]);
-    if (r & 1) best = Extremum::Min(best, node.seg[--r]);
-  }
-  return best;
+  return end;
 }
 
 Extremum MinMaxRangeTree2D::Query(const Rect& rect) const {
   Extremum best = Extremum::None();
   if (n_ == 0) return best;
-  QueryRec(root_, rect, &best);
+  QueryRec(0, 0, n_, rect, &best);
   if (best.valid() && mode_ == Mode::kMax) best.value = -best.value;
   return best;
 }
 
-void MinMaxRangeTree2D::QueryRec(int32_t node_id, const Rect& rect,
-                                 Extremum* best) const {
-  const Node& node = nodes_[node_id];
-  const double node_xlo = xs_sorted_[node.lo];
-  const double node_xhi = xs_sorted_[node.hi - 1];
+void MinMaxRangeTree2D::QueryRec(int32_t id, int32_t lo, int32_t hi,
+                                 const Rect& rect, Extremum* best) const {
+  const double node_xlo = xs_sorted_[lo];
+  const double node_xhi = xs_sorted_[hi - 1];
   if (node_xlo > rect.xhi || node_xhi < rect.xlo) return;
-  if ((rect.xlo <= node_xlo && node_xhi <= rect.xhi) || node.left < 0) {
-    if (node.left < 0) {
-      // Leaf: its x extent is one coordinate, but it may have failed the
-      // containment test only because the rect is narrower than the
-      // coordinate — the overlap test above already guarantees inclusion.
+  const int32_t len = hi - lo;
+  if ((rect.xlo <= node_xlo && node_xhi <= rect.xhi) || len == 1) {
+    // A leaf that overlaps the x interval is contained in it (its x
+    // extent is a single coordinate). Answer the node's y slice from its
+    // segment tree.
+    const double* ys = &ys_[off_[id]];
+    const Extremum* seg = &seg_[2 * off_[id]];
+    const int32_t plo =
+        static_cast<int32_t>(std::lower_bound(ys, ys + len, rect.ylo) - ys);
+    const int32_t phi =
+        static_cast<int32_t>(std::upper_bound(ys, ys + len, rect.yhi) - ys);
+    if (plo >= phi) return;
+    Extremum node_best = Extremum::None();
+    for (int32_t l = plo + len, r = phi + len; l < r; l >>= 1, r >>= 1) {
+      if (l & 1) node_best = Extremum::Min(node_best, seg[l++]);
+      if (r & 1) node_best = Extremum::Min(node_best, seg[--r]);
     }
-    int32_t plo = static_cast<int32_t>(
-        std::lower_bound(node.ys.begin(), node.ys.end(), rect.ylo) -
-        node.ys.begin());
-    int32_t phi = static_cast<int32_t>(
-        std::upper_bound(node.ys.begin(), node.ys.end(), rect.yhi) -
-        node.ys.begin());
-    if (plo < phi) *best = Extremum::Min(*best, SegQuery(node, plo, phi));
+    *best = Extremum::Min(*best, node_best);
     return;
   }
-  QueryRec(node.left, rect, best);
-  QueryRec(node.right, rect, best);
+  const int32_t mid = lo + len / 2;
+  QueryRec(id + 1, lo, mid, rect, best);
+  QueryRec(id + 2 * (mid - lo), mid, hi, rect, best);
 }
 
 }  // namespace sgl

@@ -6,13 +6,13 @@
 
 namespace sgl {
 
-LayeredRangeTree2D::LayeredRangeTree2D(
+void LayeredRangeTree2D::Rebuild(
     const std::vector<PointRef>& points,
     const std::vector<std::vector<double>>& terms) {
   n_ = static_cast<int32_t>(points.size());
   m_ = static_cast<int32_t>(terms.size());
   stride_ = m_ + 1;
-  all_cols_.resize(m_);
+  ResizeRetained(&all_cols_, m_);
   std::iota(all_cols_.begin(), all_cols_.end(), 0);
   if (n_ == 0) return;
 
@@ -21,7 +21,7 @@ LayeredRangeTree2D::LayeredRangeTree2D(
   if (m_ > 0) {
     int32_t max_id = 0;
     for (const PointRef& p : points) max_id = std::max(max_id, p.id);
-    term_of_.assign(static_cast<size_t>(max_id + 1) * m_, 0.0);
+    ResizeRetained(&term_of_, static_cast<size_t>(max_id + 1) * m_);
     for (int32_t t = 0; t < m_; ++t) {
       assert(static_cast<int32_t>(terms[t].size()) > max_id);
       for (const PointRef& p : points) {
@@ -32,94 +32,103 @@ LayeredRangeTree2D::LayeredRangeTree2D(
 
   // Sort point positions by (x, y, id) — the secondary keys make the
   // structure (and therefore enumeration order) deterministic.
-  std::vector<int32_t> order(n_);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](int32_t a, int32_t b) {
+  ResizeRetained(&order_, n_);
+  std::iota(order_.begin(), order_.end(), 0);
+  std::sort(order_.begin(), order_.end(), [&](int32_t a, int32_t b) {
     if (points[a].x != points[b].x) return points[a].x < points[b].x;
     if (points[a].y != points[b].y) return points[a].y < points[b].y;
     return points[a].id < points[b].id;
   });
-  xs_sorted_.resize(n_);
-  ys_of_.resize(n_);
-  ids_of_.resize(n_);
+  ResizeRetained(&xs_sorted_, n_);
+  ResizeRetained(&ys_of_, n_);
+  ResizeRetained(&ids_of_, n_);
   for (int32_t i = 0; i < n_; ++i) {
-    const PointRef& p = points[order[i]];
+    const PointRef& p = points[order_[i]];
     xs_sorted_[i] = p.x;
     ys_of_[i] = p.y;
     ids_of_[i] = p.id;
   }
-  nodes_.reserve(static_cast<size_t>(2 * n_));
-  root_ = Build(0, n_);
+  const int32_t nodes = 2 * n_ - 1;
+  const int64_t entries = MergeTreeEntries(n_);
+  const int64_t rows = entries + nodes;
+  ResizeRetained(&off_, nodes);
+  ResizeRetained(&ys_, entries);
+  ResizeRetained(&ids_, entries);
+  ResizeRetained(&bridge_left_, rows);
+  ResizeRetained(&prefix_, static_cast<size_t>(rows) * stride_);
+  Build(0, 0, n_, 0);
 }
 
-int32_t LayeredRangeTree2D::Build(int32_t lo, int32_t hi) {
-  int32_t node_id = static_cast<int32_t>(nodes_.size());
-  nodes_.emplace_back();
-  nodes_[node_id].lo = lo;
-  nodes_[node_id].hi = hi;
-
-  if (hi - lo == 1) {
-    Node& node = nodes_[node_id];
-    node.ys = {ys_of_[lo]};
-    node.ids = {ids_of_[lo]};
+int64_t LayeredRangeTree2D::Build(int32_t id, int32_t lo, int32_t hi,
+                                  int64_t off) {
+  off_[id] = off;
+  const int32_t len = hi - lo;
+  double* ys = &ys_[off];
+  int32_t* ids = &ids_[off];
+  int64_t end = off + len;
+  if (len == 1) {
+    ys[0] = ys_of_[lo];
+    ids[0] = ids_of_[lo];
   } else {
-    int32_t mid = lo + (hi - lo) / 2;
-    int32_t left = Build(lo, mid);
-    int32_t right = Build(mid, hi);
-    Node& node = nodes_[node_id];
-    node.left = left;
-    node.right = right;
+    const int32_t mid = lo + len / 2;
+    const int64_t loff = end;
+    const int64_t roff = Build(id + 1, lo, mid, loff);
+    end = Build(id + 2 * (mid - lo), mid, hi, roff);
     // Merge children's y-lists (a bottom-up mergesort) and record the
-    // fractional-cascading bridges: bridge_left[p] = number of left-child
+    // fractional-cascading bridge: bridge[p] = number of left-child
     // entries strictly before merged position p, which equals the
     // lower_bound position of any y value whose root lower_bound is p.
-    const Node& ln = nodes_[left];
-    const Node& rn = nodes_[right];
-    int32_t total = hi - lo;
-    node.ys.reserve(total);
-    node.ids.reserve(total);
-    node.bridge_left.reserve(total + 1);
-    node.bridge_right.reserve(total + 1);
+    const double* lys = &ys_[loff];
+    const int32_t* lids = &ids_[loff];
+    const double* rys = &ys_[roff];
+    const int32_t* rids = &ids_[roff];
+    const int32_t lsize = mid - lo;
+    const int32_t rsize = hi - mid;
+    int32_t* bridge = &bridge_left_[off + id];
     int32_t li = 0, ri = 0;
-    const int32_t lsize = static_cast<int32_t>(ln.ys.size());
-    const int32_t rsize = static_cast<int32_t>(rn.ys.size());
-    while (li < lsize || ri < rsize) {
-      node.bridge_left.push_back(li);
-      node.bridge_right.push_back(ri);
+    for (int32_t p = 0; p < len; ++p) {
+      bridge[p] = li;
       bool take_left;
       if (li >= lsize) {
         take_left = false;
       } else if (ri >= rsize) {
         take_left = true;
-      } else if (ln.ys[li] != rn.ys[ri]) {
-        take_left = ln.ys[li] < rn.ys[ri];
+      } else if (lys[li] != rys[ri]) {
+        take_left = lys[li] < rys[ri];
       } else {
-        take_left = ln.ids[li] < rn.ids[ri];
+        take_left = lids[li] < rids[ri];
       }
-      const Node& src = take_left ? ln : rn;
-      int32_t& idx = take_left ? li : ri;
-      node.ys.push_back(src.ys[idx]);
-      node.ids.push_back(src.ids[idx]);
-      ++idx;
+      if (take_left) {
+        ys[p] = lys[li];
+        ids[p] = lids[li++];
+      } else {
+        ys[p] = rys[ri];
+        ids[p] = rids[ri++];
+      }
     }
-    node.bridge_left.push_back(li);
-    node.bridge_right.push_back(ri);
+    bridge[len] = li;
   }
 
-  // Prefix aggregates over the y-sorted list (Figure 8): prefix[i] holds
-  // the aggregate of ys[0..i); slot m_ carries the count.
-  Node& node = nodes_[node_id];
-  const int32_t len = static_cast<int32_t>(node.ys.size());
-  node.prefix.assign(static_cast<size_t>(len + 1) * stride_, 0.0);
+  // Prefix aggregates over the y-sorted list (Figure 8): row i holds the
+  // aggregate of the first i points; slot m_ carries the count.
+  double* prefix = &prefix_[static_cast<size_t>(off + id) * stride_];
+  std::fill(prefix, prefix + stride_, 0.0);
   for (int32_t i = 0; i < len; ++i) {
-    const double* prev = &node.prefix[static_cast<size_t>(i) * stride_];
-    double* dst = &node.prefix[static_cast<size_t>(i + 1) * stride_];
+    const double* prev = prefix + static_cast<size_t>(i) * stride_;
+    double* dst = prefix + static_cast<size_t>(i + 1) * stride_;
     const double* terms =
-        m_ > 0 ? &term_of_[static_cast<size_t>(node.ids[i]) * m_] : nullptr;
+        m_ > 0 ? &term_of_[static_cast<size_t>(ids[i]) * m_] : nullptr;
     for (int32_t t = 0; t < m_; ++t) dst[t] = prev[t] + terms[t];
     dst[m_] = prev[m_] + 1.0;
   }
-  return node_id;
+  return end;
+}
+
+void LayeredRangeTree2D::RootSpan(const Rect& rect, int32_t* plo,
+                                  int32_t* phi) const {
+  const double* ys = ys_.data();
+  *plo = static_cast<int32_t>(std::lower_bound(ys, ys + n_, rect.ylo) - ys);
+  *phi = static_cast<int32_t>(std::upper_bound(ys, ys + n_, rect.yhi) - ys);
 }
 
 AggResult LayeredRangeTree2D::Aggregate(const Rect& rect) const {
@@ -131,34 +140,29 @@ AggResult LayeredRangeTree2D::Aggregate(const Rect& rect) const {
 int64_t LayeredRangeTree2D::Aggregate(const Rect& rect, const int32_t* cols,
                                       int32_t k, double* sums) const {
   if (n_ == 0) return 0;
-  const Node& root = nodes_[root_];
   // One binary search at the root; bridges do the rest (fractional
-  // cascading). Closed y interval: [lower_bound(ylo), upper_bound(yhi)).
-  int32_t plo = static_cast<int32_t>(
-      std::lower_bound(root.ys.begin(), root.ys.end(), rect.ylo) -
-      root.ys.begin());
-  int32_t phi = static_cast<int32_t>(
-      std::upper_bound(root.ys.begin(), root.ys.end(), rect.yhi) -
-      root.ys.begin());
+  // cascading).
+  int32_t plo, phi;
+  RootSpan(rect, &plo, &phi);
   ProbeAcc acc{cols, k, sums, 0};
-  AggregateRec(root_, rect, plo, phi, &acc);
+  AggregateRec(0, 0, n_, rect, plo, phi, &acc);
   return acc.count;
 }
 
-void LayeredRangeTree2D::AggregateRec(int32_t node_id, const Rect& rect,
-                                      int32_t plo, int32_t phi,
-                                      ProbeAcc* acc) const {
+void LayeredRangeTree2D::AggregateRec(int32_t id, int32_t lo, int32_t hi,
+                                      const Rect& rect, int32_t plo,
+                                      int32_t phi, ProbeAcc* acc) const {
   if (plo >= phi) return;
-  const Node& node = nodes_[node_id];
-  const double node_xlo = xs_sorted_[node.lo];
-  const double node_xhi = xs_sorted_[node.hi - 1];
+  const double node_xlo = xs_sorted_[lo];
+  const double node_xhi = xs_sorted_[hi - 1];
   if (node_xlo > rect.xhi || node_xhi < rect.xlo) return;
-  if ((rect.xlo <= node_xlo && node_xhi <= rect.xhi) || node.left < 0) {
+  const int64_t row = off_[id] + id;
+  if ((rect.xlo <= node_xlo && node_xhi <= rect.xhi) || hi - lo == 1) {
     // A leaf that overlaps the x interval is contained in it (its x
     // extent is a single coordinate), so both cases take the O(1)
     // prefix-aggregate slice.
-    const double* hi_p = &node.prefix[static_cast<size_t>(phi) * stride_];
-    const double* lo_p = &node.prefix[static_cast<size_t>(plo) * stride_];
+    const double* hi_p = &prefix_[static_cast<size_t>(row + phi) * stride_];
+    const double* lo_p = &prefix_[static_cast<size_t>(row + plo) * stride_];
     acc->count += static_cast<int64_t>(hi_p[m_] - lo_p[m_]);
     for (int32_t i = 0; i < acc->k; ++i) {
       const int32_t t = acc->cols[i];
@@ -166,41 +170,39 @@ void LayeredRangeTree2D::AggregateRec(int32_t node_id, const Rect& rect,
     }
     return;
   }
-  AggregateRec(node.left, rect, node.bridge_left[plo], node.bridge_left[phi],
-               acc);
-  AggregateRec(node.right, rect, node.bridge_right[plo],
-               node.bridge_right[phi], acc);
+  const int32_t mid = lo + (hi - lo) / 2;
+  const int32_t* bridge = &bridge_left_[row];
+  AggregateRec(id + 1, lo, mid, rect, bridge[plo], bridge[phi], acc);
+  AggregateRec(id + 2 * (mid - lo), mid, hi, rect, plo - bridge[plo],
+               phi - bridge[phi], acc);
 }
 
 void LayeredRangeTree2D::Enumerate(const Rect& rect,
                                    std::vector<int32_t>* out) const {
   if (n_ == 0) return;
-  const Node& root = nodes_[root_];
-  int32_t plo = static_cast<int32_t>(
-      std::lower_bound(root.ys.begin(), root.ys.end(), rect.ylo) -
-      root.ys.begin());
-  int32_t phi = static_cast<int32_t>(
-      std::upper_bound(root.ys.begin(), root.ys.end(), rect.yhi) -
-      root.ys.begin());
-  EnumerateRec(root_, rect, plo, phi, out);
+  int32_t plo, phi;
+  RootSpan(rect, &plo, &phi);
+  EnumerateRec(0, 0, n_, rect, plo, phi, out);
 }
 
-void LayeredRangeTree2D::EnumerateRec(int32_t node_id, const Rect& rect,
-                                      int32_t plo, int32_t phi,
+void LayeredRangeTree2D::EnumerateRec(int32_t id, int32_t lo, int32_t hi,
+                                      const Rect& rect, int32_t plo,
+                                      int32_t phi,
                                       std::vector<int32_t>* out) const {
   if (plo >= phi) return;
-  const Node& node = nodes_[node_id];
-  const double node_xlo = xs_sorted_[node.lo];
-  const double node_xhi = xs_sorted_[node.hi - 1];
+  const double node_xlo = xs_sorted_[lo];
+  const double node_xhi = xs_sorted_[hi - 1];
   if (node_xlo > rect.xhi || node_xhi < rect.xlo) return;
-  if ((rect.xlo <= node_xlo && node_xhi <= rect.xhi) || node.left < 0) {
-    for (int32_t i = plo; i < phi; ++i) out->push_back(node.ids[i]);
+  if ((rect.xlo <= node_xlo && node_xhi <= rect.xhi) || hi - lo == 1) {
+    const int32_t* ids = &ids_[off_[id]];
+    for (int32_t i = plo; i < phi; ++i) out->push_back(ids[i]);
     return;
   }
-  EnumerateRec(node.left, rect, node.bridge_left[plo], node.bridge_left[phi],
-               out);
-  EnumerateRec(node.right, rect, node.bridge_right[plo],
-               node.bridge_right[phi], out);
+  const int32_t mid = lo + (hi - lo) / 2;
+  const int32_t* bridge = &bridge_left_[off_[id] + id];
+  EnumerateRec(id + 1, lo, mid, rect, bridge[plo], bridge[phi], out);
+  EnumerateRec(id + 2 * (mid - lo), mid, hi, rect, plo - bridge[plo],
+               phi - bridge[phi], out);
 }
 
 }  // namespace sgl

@@ -16,8 +16,11 @@
 //
 // The tree supports m payload terms per point and answers all of them in
 // one probe (the paper's "list of aggregate tuples" for centroid queries).
-// It is a static structure rebuilt every tick, per the paper's observation
-// that per-tick rebuilding beats dynamic maintenance for volatile data.
+// It is rebuilt every tick, per the paper's observation that per-tick
+// rebuilding beats dynamic maintenance for volatile data, and Rebuild
+// refills the tree in place: every node lives in a few flat arrays that
+// keep their storage from one build to the next, so a steady-state
+// rebuild allocates nothing.
 #ifndef SGL_GEOM_RANGE_TREE_H_
 #define SGL_GEOM_RANGE_TREE_H_
 
@@ -38,10 +41,21 @@ struct AggResult {
 
 class LayeredRangeTree2D {
  public:
+  /// An empty tree (every probe misses) until Rebuild fills it.
+  LayeredRangeTree2D() = default;
+
   /// Build over `points`; `terms[t]` is the t-th payload column, indexed by
   /// PointRef::id. Pass an empty terms vector for pure count/enumeration.
   LayeredRangeTree2D(const std::vector<PointRef>& points,
-                     const std::vector<std::vector<double>>& terms);
+                     const std::vector<std::vector<double>>& terms) {
+    Rebuild(points, terms);
+  }
+
+  /// Replace the contents with a build over `points` (arguments as for
+  /// the constructor). The tree keeps the storage of earlier builds, so
+  /// a rebuild no larger than one before allocates nothing.
+  void Rebuild(const std::vector<PointRef>& points,
+               const std::vector<std::vector<double>>& terms);
 
   int32_t num_points() const { return n_; }
   int32_t num_terms() const { return m_; }
@@ -64,19 +78,6 @@ class LayeredRangeTree2D {
   void Enumerate(const Rect& rect, std::vector<int32_t>* out) const;
 
  private:
-  struct Node {
-    int32_t lo = 0, hi = 0;       // x-sorted point range [lo, hi)
-    int32_t left = -1, right = -1;
-    std::vector<double> ys;       // subtree points sorted by y
-    std::vector<int32_t> ids;     // parallel to ys
-    // prefix[(i) * stride + t]: sum of term t over ys[0..i); slot m_ is
-    // the count (always 1 per point) so count needs no special case.
-    std::vector<double> prefix;
-    // bridge arrays of length ys.size()+1: position -> position in child.
-    std::vector<int32_t> bridge_left;
-    std::vector<int32_t> bridge_right;
-  };
-
   /// The accumulator of one column-restricted probe.
   struct ProbeAcc {
     const int32_t* cols;
@@ -85,22 +86,45 @@ class LayeredRangeTree2D {
     int64_t count;
   };
 
-  int32_t Build(int32_t lo, int32_t hi);
-  void AggregateRec(int32_t node_id, const Rect& rect, int32_t plo,
-                    int32_t phi, ProbeAcc* acc) const;
-  void EnumerateRec(int32_t node_id, const Rect& rect, int32_t plo,
-                    int32_t phi, std::vector<int32_t>* out) const;
+  // Layout. Nodes are numbered in pre-order and fixed by their point
+  // range: the node over x-sorted points [lo, hi), mid = lo + (hi-lo)/2,
+  // has its left child at id + 1 and its right child at id + 2(mid-lo),
+  // because a subtree over k points has 2k-1 nodes. Node id's subtree
+  // points, sorted by y, are ys_/ids_[off_[id], off_[id] + hi-lo); its
+  // bridge and prefix rows, one more than its points, start at row
+  // off_[id] + id. Sibling subtrees own disjoint slots of every array.
+
+  /// Build node `id` over [lo, hi) with its points at offset `off`, its
+  /// subtree's points after them; returns the offset past the subtree.
+  int64_t Build(int32_t id, int32_t lo, int32_t hi, int64_t off);
+  /// The root's y position range [plo, phi) of the closed interval
+  /// [rect.ylo, rect.yhi].
+  void RootSpan(const Rect& rect, int32_t* plo, int32_t* phi) const;
+  void AggregateRec(int32_t id, int32_t lo, int32_t hi, const Rect& rect,
+                    int32_t plo, int32_t phi, ProbeAcc* acc) const;
+  void EnumerateRec(int32_t id, int32_t lo, int32_t hi, const Rect& rect,
+                    int32_t plo, int32_t phi, std::vector<int32_t>* out) const;
 
   int32_t n_ = 0;
   int32_t m_ = 0;       // payload terms
   int32_t stride_ = 1;  // m_ + 1 (terms + count)
-  std::vector<int32_t> all_cols_;       // 0..m_-1: Aggregate(rect)'s columns
+  std::vector<int32_t> all_cols_;  // 0..m_-1: Aggregate(rect)'s columns
+  std::vector<int32_t> order_;     // build scratch: the x-sort permutation
   std::vector<double> xs_sorted_;
-  std::vector<double> ys_of_;           // y keyed by x-sorted position
-  std::vector<int32_t> ids_of_;         // id keyed by x-sorted position
-  std::vector<double> term_of_;         // terms keyed by x-sorted position
-  std::vector<Node> nodes_;
-  int32_t root_ = -1;
+  std::vector<double> ys_of_;    // y keyed by x-sorted position
+  std::vector<int32_t> ids_of_;  // id keyed by x-sorted position
+  std::vector<double> term_of_;  // terms keyed by PointRef::id
+  std::vector<int64_t> off_;     // per node: offset of its points
+  std::vector<double> ys_;
+  std::vector<int32_t> ids_;  // parallel to ys_
+  // Per node row p: how many of the node's first p y-sorted points lie in
+  // the left child (the fractional-cascading bridge). The right child's
+  // bridge is p minus it.
+  std::vector<int32_t> bridge_left_;
+  // prefix_[row * stride_ + t]: sum of term t over the node's first p
+  // y-sorted points at its row p; slot m_ is the count (always 1 per
+  // point) so count needs no special case.
+  std::vector<double> prefix_;
 };
 
 }  // namespace sgl

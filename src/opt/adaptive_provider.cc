@@ -55,7 +55,7 @@ Status AdaptiveAggregateProvider::BuildIndexes(const EnvironmentTable& table,
     in.build_passes = static_cast<int64_t>(sig.build_filters.size() +
                                            family.terms.size() + 1);
     in.partitions =
-        std::max<int64_t>(1, static_cast<int64_t>(family.parts.size()));
+        std::max<int64_t>(1, static_cast<int64_t>(family.parts.count));
     in.builds_tree = sig.kind != IndexKind::kPartitionTotals;
 
     CostDecision decision = model_.Choose(in);

@@ -9,9 +9,11 @@
 // its members' term columns (plus their squares only when a member takes a
 // stddev), and each member keeps its own probe side: partition =/<>, range
 // bounds, probe filters, self-exclusion, and which family columns its
-// items read. Each tick, BuildIndexes() rebuilds the per-partition
-// structures from scratch — the paper's choice for volatile data — and
-// each aggregate call is answered as an index probe, one unit at a time
+// items read. Each tick, BuildIndexes() rebuilds every per-partition
+// structure — the paper's choice for volatile data — in place: each
+// family keeps its trees, one per partition id, and its pass buffers from
+// tick to tick, so a steady-state build allocates next to nothing. Each
+// aggregate call is answered as an index probe, one unit at a time
 // through Eval() or a whole VM batch at a time through EvalBatch(), both
 // ending in the same probe core:
 //
@@ -28,7 +30,6 @@
 #ifndef SGL_OPT_INDEXED_PROVIDER_H_
 #define SGL_OPT_INDEXED_PROVIDER_H_
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -153,11 +154,24 @@ class IndexedAggregateProvider : public AggregateProvider {
   /// subclasses).
   Status Init();
 
-  /// One categorical partition (the hash layer of Section 5.3.1): the
-  /// tuple of partition-attribute values and the id of its index.
-  struct PartitionEntry {
-    std::vector<double> comps;
-    int64_t id = 0;
+  /// The categorical partitions of one build (the hash layer of Section
+  /// 5.3.1): its passing rows grouped by the tuple of partition-attribute
+  /// values. Partition ids follow ascending tuple order, the order Probe
+  /// sums partitions in (kSum is not associative), and each partition
+  /// lists its rows ascending. Refilled in place by every build.
+  struct PartitionGroups {
+    int32_t count = 0;           // partitions of the latest build
+    std::vector<double> comps;   // count x partition dims, by part id
+    std::vector<int32_t> start;  // part p's rows: rows[start[p], start[p+1])
+    std::vector<RowId> rows;
+    // Scratch: an open-addressing hash from tuple to first-seen group
+    // (-1 = empty), the first-seen tuples, each passing row's first-seen
+    // group, each part id's first-seen group, and the reverse.
+    std::vector<int32_t> slots;
+    std::vector<double> seen;
+    std::vector<int32_t> group_of_row;
+    std::vector<int32_t> order;
+    std::vector<int32_t> part_of_group;
   };
 
   /// One partition's running totals (kPartitionTotals families): the
@@ -190,19 +204,26 @@ class IndexedAggregateProvider : public AggregateProvider {
     obs::Counter* rows = nullptr;      // rows passing the build
     obs::Counter* build_ns = nullptr;  // build wall time
 
-    // Build products, rebuilt from scratch by every build.
+    // Build products, refilled in place by every build. The per-partition
+    // vectors are indexed by part id and only grow: a slot past this
+    // build's partition count keeps its storage for a later build.
     std::vector<char> row_passes;  // build-filter result per row
     std::vector<std::vector<double>> term_cols;  // num_cols() columns
-    std::vector<PartitionEntry> parts;
-    std::map<int64_t, LayeredRangeTree2D> div_trees;
-    std::vector<PartitionTotals> totals;  // by part id
-    std::map<int64_t, MinMaxRangeTree2D> mm_trees;
-    std::map<int64_t, KdTree2D> kd_trees;
+    PartitionGroups parts;
+    std::vector<PartitionTotals> totals;
+    std::vector<LayeredRangeTree2D> div_trees;
+    std::vector<MinMaxRangeTree2D> mm_trees;
+    std::vector<KdTree2D> kd_trees;
+    std::vector<PointRef> points;  // build scratch: one partition's points
   };
 
   Status BuildFamily(Family* family, const EnvironmentTable& table,
                      const TickRandom& rnd, exec::ThreadPool* pool,
                      exec::ParallelStats* stats);
+
+  /// Pass 3 of BuildFamily: refill `family->parts` from the rows passing
+  /// its build filters.
+  void GroupPartitions(Family* family, const EnvironmentTable& table) const;
 
   /// Build `families` with the shared fan-out policy: sequentially when
   /// there is no pool or at most one family (per-row passes then still

@@ -451,23 +451,39 @@ Status WorldStore::WriteManifest(const EnvironmentTable& table, int64_t tick,
   return WriteFileAtomically(manifest_path_, out, fsyncs_);
 }
 
+Result<int32_t> WorldStore::StoredPageSize(const std::string& dir) {
+  SGL_ASSIGN_OR_RETURN(Manifest m, ParseManifest(dir + kManifestFile));
+  return m.page_size;
+}
+
 Result<WorldStore::Manifest> WorldStore::ReadManifest() const {
-  std::ifstream in(manifest_path_, std::ios::binary);
+  SGL_ASSIGN_OR_RETURN(Manifest m, ParseManifest(manifest_path_));
+  if (m.page_size != config_.page_size) {
+    return Status::Invalid("storage: the world at ", config_.path,
+                           " was written with page_size ", m.page_size,
+                           " but storage.page_size is ", config_.page_size);
+  }
+  return m;
+}
+
+Result<WorldStore::Manifest> WorldStore::ParseManifest(
+    const std::string& manifest_path) {
+  std::ifstream in(manifest_path, std::ios::binary);
   if (!in.is_open()) {
-    return Status::NotFound("storage: no manifest at ", manifest_path_);
+    return Status::NotFound("storage: no manifest at ", manifest_path);
   }
   std::ostringstream buf;
   buf << in.rdbuf();
   const std::string bytes = buf.str();
   if (bytes.size() < sizeof(kManifestMagic) + 8 ||
       std::memcmp(bytes.data(), kManifestMagic, sizeof(kManifestMagic)) != 0) {
-    return Status::Invalid("storage: ", manifest_path_,
+    return Status::Invalid("storage: ", manifest_path,
                            " is not a world manifest (bad magic)");
   }
   const uint8_t* data = reinterpret_cast<const uint8_t*>(bytes.data());
   const uint64_t stored = LoadLE(data + bytes.size() - 8, 8);
   if (Fnv1a(data, bytes.size() - 8) != stored) {
-    return Status::Invalid("storage: manifest ", manifest_path_,
+    return Status::Invalid("storage: manifest ", manifest_path,
                            " failed its checksum (corrupt)");
   }
   ByteReader reader(data + sizeof(kManifestMagic),
@@ -475,7 +491,7 @@ Result<WorldStore::Manifest> WorldStore::ReadManifest() const {
   uint64_t version = 0;
   SGL_RETURN_NOT_OK(reader.Read(&version, 2));
   if (version != kManifestVersion) {
-    return Status::Invalid("storage: manifest ", manifest_path_,
+    return Status::Invalid("storage: manifest ", manifest_path,
                            " has unsupported version ", version);
   }
   Manifest m;
@@ -487,11 +503,7 @@ Result<WorldStore::Manifest> WorldStore::ReadManifest() const {
   SGL_RETURN_NOT_OK(reader.Read(&v, 4));
   m.num_rows = static_cast<int32_t>(v);
   SGL_RETURN_NOT_OK(reader.Read(&v, 4));
-  if (static_cast<int32_t>(v) != config_.page_size) {
-    return Status::Invalid("storage: the world at ", config_.path,
-                           " was written with page_size ", v,
-                           " but storage.page_size is ", config_.page_size);
-  }
+  m.page_size = static_cast<int32_t>(v);
   uint64_t num_attrs = 0;
   SGL_RETURN_NOT_OK(reader.Read(&num_attrs, 4));
   if (num_attrs < 1) {
@@ -563,6 +575,13 @@ Result<RecoveredWorld> WorldStore::Replay(int64_t target) {
   // chunk's committed slot once (ReadSlot verifies its checksum), decode
   // it whole, then add the chunk's rows in row order.
   EnvironmentTable table{m.schema};
+  // Room for the image's rows up front, but no more than the pages the
+  // manifest names can hold: a bad row count then fails at its first
+  // missing page, not in the allocator.
+  const int64_t chunks =
+      static_cast<int64_t>(m.committed.size()) / num_slots_;
+  table.Reserve(static_cast<int32_t>(
+      std::clamp<int64_t>(m.num_rows, 0, chunks * rows_per_page_)));
   const size_t num_attrs = static_cast<size_t>(num_slots_ - 1);
   std::vector<int64_t> keys(static_cast<size_t>(rows_per_page_));
   std::vector<double> chunk(keys.size() * num_attrs);  // row-major

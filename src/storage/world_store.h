@@ -91,6 +91,10 @@ class WorldStore : public TableDeltaListener {
   /// Open, this creates nothing.
   static bool HasWorld(const std::string& dir);
 
+  /// The page size `dir`'s manifest records: the storage.page_size a
+  /// store must be opened with to read the world there.
+  static Result<int32_t> StoredPageSize(const std::string& dir);
+
   const StorageConfig& config() const { return config_; }
 
   /// True when the directory held a manifest at Open — a recoverable
@@ -193,9 +197,13 @@ class WorldStore : public TableDeltaListener {
     int64_t tick = 0;
     int64_t next_key = 0;
     int32_t num_rows = 0;
+    int32_t page_size = 0;
     Schema schema;
     std::vector<uint8_t> committed;
   };
+  /// Read and verify the manifest file at `path`.
+  static Result<Manifest> ParseManifest(const std::string& path);
+  /// This store's manifest; refused unless it records config_.page_size.
   Result<Manifest> ReadManifest() const;
 
   /// Shared Recover/Materialize body; `target` < 0 means latest.

@@ -2,10 +2,13 @@
 // algebraic laws of the combination operator ⊕ (Section 4.2, Eq. (3)).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_map>
 #include <vector>
 
 #include "env/delta.h"
 #include "env/effect_buffer.h"
+#include "env/key_index.h"
 #include "env/schema.h"
 #include "env/table.h"
 #include "env/value.h"
@@ -132,6 +135,128 @@ TEST(Table, RemoveCompactsAndRemapsRows) {
   for (RowId r = 0; r < t.NumRows(); ++r) {
     EXPECT_EQ(t.KeyAt(r) % 2, 1);
     EXPECT_EQ(r, t.RowOf(t.KeyAt(r)));
+  }
+}
+
+// The table's key index against a std::unordered_map oracle under seeded
+// churn: auto and explicit keys (negative and huge ones too), removals of
+// random subsets, and lookups of live, removed and never-seen keys. The
+// oracle follows the rows independently: RemoveIf keeps survivors in
+// order.
+TEST(Table, KeyIndexMatchesAnOracleUnderChurn) {
+  EnvironmentTable t(BattleSchema());
+  std::vector<int64_t> rows;  // the oracle's key per row
+  std::unordered_map<int64_t, RowId> oracle;
+  Xoshiro256 rng(4242);
+  for (int32_t round = 0; round < 60; ++round) {
+    const int32_t adds = static_cast<int32_t>(rng.NextBounded(80));
+    for (int32_t i = 0; i < adds; ++i) {
+      if (rng.NextBounded(4) == 0) {
+        const int64_t key = rng.NextBounded(2) == 0
+                                ? static_cast<int64_t>(rng.Next())
+                                : static_cast<int64_t>(rng.NextBounded(4000)) -
+                                      100;
+        const bool fresh = oracle.count(key) == 0;
+        const Status st = t.AddRowWithKey(key, {0, 1, 2, 3, 0, 0, 0});
+        ASSERT_EQ(fresh, st.ok()) << st.ToString();
+        if (!fresh) continue;
+        oracle[key] = static_cast<RowId>(rows.size());
+        rows.push_back(key);
+      } else {
+        auto key = t.AddRow({0, 1, 2, 3, 0, 0, 0});
+        ASSERT_TRUE(key.ok());
+        oracle[*key] = static_cast<RowId>(rows.size());
+        rows.push_back(*key);
+      }
+    }
+    const uint64_t drop = 2 + rng.NextBounded(5);
+    const uint64_t salt = rng.Next();
+    auto gone = [&](int64_t key) {
+      return (static_cast<uint64_t>(key) * 0x9E3779B97F4A7C15ull ^ salt) %
+                 drop ==
+             0;
+    };
+    t.RemoveIf([&](RowId r) { return gone(t.KeyAt(r)); });
+    std::vector<int64_t> survivors;
+    for (int64_t key : rows) {
+      if (gone(key)) {
+        oracle.erase(key);
+      } else {
+        oracle[key] = static_cast<RowId>(survivors.size());
+        survivors.push_back(key);
+      }
+    }
+    rows.swap(survivors);
+
+    ASSERT_EQ(static_cast<RowId>(rows.size()), t.NumRows());
+    for (RowId r = 0; r < t.NumRows(); ++r) {
+      ASSERT_EQ(rows[r], t.KeyAt(r));
+      ASSERT_EQ(r, t.RowOf(rows[r]));
+    }
+    for (int32_t i = 0; i < 200; ++i) {
+      const int64_t key = static_cast<int64_t>(rng.NextBounded(4000)) - 100;
+      auto it = oracle.find(key);
+      ASSERT_EQ(it == oracle.end() ? -1 : it->second, t.RowOf(key));
+    }
+  }
+}
+
+// Deletions whose probe run wraps around the end of the slot array: keys
+// homed at the last slots spill into slot 0 onwards, and erasing any of
+// them must shift the rest of the run back across the wrap.
+TEST(KeyIndex, EraseAcrossTheWrapKeepsEveryLookup) {
+  KeyIndex index;
+  index.Reserve(64);
+  const size_t cap = index.capacity();
+  ASSERT_GE(cap, 128u);
+  // Keys homed at each of the last two slots and at slots 0 and 1.
+  std::vector<int64_t> at_end, at_start;
+  for (int64_t key = 0; at_end.size() < 6 || at_start.size() < 4; ++key) {
+    const size_t home = index.HomeSlot(key);
+    if (home >= cap - 2 && at_end.size() < 6) at_end.push_back(key);
+    if (home <= 1 && at_start.size() < 4) at_start.push_back(key);
+  }
+  for (int32_t order = 0; order < 4; ++order) {
+    KeyIndex idx;
+    idx.Reserve(64);
+    std::unordered_map<int64_t, int32_t> oracle;
+    int32_t row = 0;
+    // Interleave the two groups so runs from both sides of the wrap mix.
+    for (size_t i = 0; i < std::max(at_end.size(), at_start.size()); ++i) {
+      for (const std::vector<int64_t>* group : {&at_end, &at_start}) {
+        if (i >= group->size()) continue;
+        idx.Put((*group)[i], row);
+        oracle[(*group)[i]] = row++;
+      }
+    }
+    ASSERT_EQ(cap, idx.capacity());
+    // Erase in a different order each round: front of the run, middle,
+    // and keys homed after the wrap first.
+    std::vector<int64_t> victims(at_end);
+    victims.insert(victims.end(), at_start.begin(), at_start.end());
+    std::rotate(victims.begin(), victims.begin() + 3 * order,
+                victims.end());
+    for (int64_t victim : victims) {
+      idx.Erase(victim);
+      oracle.erase(victim);
+      ASSERT_EQ(oracle.size(), idx.size());
+      for (int64_t key : at_end) {
+        auto it = oracle.find(key);
+        ASSERT_EQ(it == oracle.end() ? -1 : it->second, idx.Find(key));
+      }
+      for (int64_t key : at_start) {
+        auto it = oracle.find(key);
+        ASSERT_EQ(it == oracle.end() ? -1 : it->second, idx.Find(key));
+      }
+    }
+    // Erasing an absent key and re-adding the removed ones both work.
+    idx.Erase(at_end[0]);
+    for (size_t i = 0; i < at_end.size(); ++i) {
+      idx.Put(at_end[i], static_cast<int32_t>(100 + i));
+    }
+    for (size_t i = 0; i < at_end.size(); ++i) {
+      ASSERT_EQ(static_cast<int32_t>(100 + i), idx.Find(at_end[i]));
+    }
   }
 }
 

@@ -302,5 +302,137 @@ TEST(LayeredKdForest, ThresholdNearestMatchesBruteForce) {
   }
 }
 
+// ------------------------------------------------------- rebuild in place
+
+// One tree object of each kind is rebuilt over a larger point set, a
+// smaller one, an empty one and one of stacked duplicates. After each
+// rebuild every probe must equal both a freshly built tree and brute
+// force, so storage kept from an earlier build can never leak into a
+// later one.
+TEST(RebuildInPlace, EveryProbeMatchesAFreshTreeAndBruteForce) {
+  struct Step {
+    int32_t n;
+    int64_t grid;
+  };
+  const Step steps[] = {{700, 200}, {90, 200}, {0, 200}, {150, 3}};
+  LayeredRangeTree2D range;
+  MinMaxRangeTree2D extremum;
+  KdTree2D kd;
+  Xoshiro256 rng(2024);
+  int32_t step_index = 0;
+  for (const Step& step : steps) {
+    SCOPED_TRACE(::testing::Message() << "step " << step_index);
+    const TestWorld w = MakeWorld(step.n, 500 + step_index, step.grid);
+    const std::vector<std::vector<double>> terms = {w.values, w.values2};
+    const MinMaxRangeTree2D::Mode mode = step_index % 2 == 0
+                                             ? MinMaxRangeTree2D::Mode::kMin
+                                             : MinMaxRangeTree2D::Mode::kMax;
+    ++step_index;
+    range.Rebuild(w.points, terms);
+    extremum.Rebuild(w.points, w.values, w.keys, mode);
+    kd.Rebuild(w.points, w.keys);
+    const LayeredRangeTree2D fresh_range(w.points, terms);
+    const MinMaxRangeTree2D fresh_extremum(w.points, w.values, w.keys, mode);
+    const KdTree2D fresh_kd(w.points, w.keys);
+    ASSERT_EQ(step.n, range.num_points());
+    ASSERT_EQ(step.n, extremum.num_points());
+    ASSERT_EQ(step.n, kd.num_points());
+
+    for (int32_t q = 0; q < 120; ++q) {
+      const Rect rect = RandomRect(&rng, step.grid + 2);
+      int64_t count = 0;
+      double sum = 0.0, sum2 = 0.0;
+      Extremum best = Extremum::None();
+      std::vector<int32_t> inside;
+      const double sign = mode == MinMaxRangeTree2D::Mode::kMin ? 1.0 : -1.0;
+      for (const PointRef& p : w.points) {
+        if (!rect.Contains(p.x, p.y)) continue;
+        ++count;
+        sum += w.values[p.id];
+        sum2 += w.values2[p.id];
+        best = Extremum::Min(best,
+                             Extremum{sign * w.values[p.id], w.keys[p.id]});
+        inside.push_back(p.id);
+      }
+      if (best.valid()) best.value *= sign;
+
+      // Aggregate(rect), both columns.
+      const AggResult all = range.Aggregate(rect);
+      const AggResult fresh_all = fresh_range.Aggregate(rect);
+      ASSERT_EQ(count, all.count) << "q=" << q;
+      ASSERT_EQ(sum, all.sums[0]);
+      ASSERT_EQ(sum2, all.sums[1]);
+      ASSERT_EQ(fresh_all.count, all.count);
+      ASSERT_EQ(fresh_all.sums, all.sums);
+      // Aggregate(rect, cols), the second column alone.
+      const int32_t col = 1;
+      double got_sum2 = 0.0, fresh_sum2 = 0.0;
+      ASSERT_EQ(count, range.Aggregate(rect, &col, 1, &got_sum2));
+      ASSERT_EQ(count, fresh_range.Aggregate(rect, &col, 1, &fresh_sum2));
+      ASSERT_EQ(sum2, got_sum2);
+      ASSERT_EQ(fresh_sum2, got_sum2);
+      // Enumerate: the fresh tree's exact order, brute force's set.
+      std::vector<int32_t> got, fresh;
+      range.Enumerate(rect, &got);
+      fresh_range.Enumerate(rect, &fresh);
+      ASSERT_EQ(fresh, got);
+      std::sort(got.begin(), got.end());
+      std::sort(inside.begin(), inside.end());
+      ASSERT_EQ(inside, got);
+
+      // Query.
+      const Extremum e = extremum.Query(rect);
+      const Extremum fresh_e = fresh_extremum.Query(rect);
+      ASSERT_EQ(best.valid(), e.valid());
+      ASSERT_EQ(fresh_e.valid(), e.valid());
+      if (best.valid()) {
+        ASSERT_EQ(best.value, e.value);
+        ASSERT_EQ(best.key, e.key);
+        ASSERT_EQ(fresh_e.value, e.value);
+        ASSERT_EQ(fresh_e.key, e.key);
+      }
+
+      // Nearest, NearestWithin and NearestInRect.
+      const double qx = static_cast<double>(rng.NextBounded(step.grid + 4)) - 2;
+      const double qy = static_cast<double>(rng.NextBounded(step.grid + 4)) - 2;
+      const int64_t exclude =
+          step.n > 0 && q % 3 == 0 ? w.keys[rng.NextBounded(step.n)]
+                                   : INT64_MIN;
+      const double max_d2 = static_cast<double>(rng.NextBounded(400));
+      Neighbor near, within, in_rect;
+      for (const PointRef& p : w.points) {
+        const int64_t key = w.keys[p.id];
+        if (key == exclude) continue;
+        const double d2 = SquaredDistance(qx, qy, p.x, p.y);
+        auto offer = [&](Neighbor* n) {
+          if (d2 < n->dist2 || (d2 == n->dist2 && key < n->key)) {
+            *n = Neighbor{key, d2, p.id};
+          }
+        };
+        offer(&near);
+        if (d2 <= max_d2) offer(&within);
+        if (rect.Contains(p.x, p.y)) offer(&in_rect);
+      }
+      auto expect_same = [](const Neighbor& want, const Neighbor& got) {
+        ASSERT_EQ(want.found(), got.found());
+        if (!want.found()) return;
+        ASSERT_EQ(want.dist2, got.dist2);
+        ASSERT_EQ(want.key, got.key);
+        ASSERT_EQ(want.id, got.id);
+      };
+      const Neighbor got_near = kd.Nearest(qx, qy, exclude);
+      expect_same(near, got_near);
+      expect_same(fresh_kd.Nearest(qx, qy, exclude), got_near);
+      const Neighbor got_within = kd.NearestWithin(qx, qy, exclude, max_d2);
+      expect_same(within, got_within);
+      expect_same(fresh_kd.NearestWithin(qx, qy, exclude, max_d2), got_within);
+      const Neighbor got_rect = kd.NearestInRect(qx, qy, exclude, rect);
+      expect_same(in_rect, got_rect);
+      expect_same(fresh_kd.NearestInRect(qx, qy, exclude, rect), got_rect);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace sgl

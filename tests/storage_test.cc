@@ -687,6 +687,33 @@ TEST(StorageCheckpointTest, PlainDirRoundTripsAndReplaysBitExactly) {
       << twin->table().DiffString(sim->table());
 }
 
+TEST(StorageCheckpointTest, StoragelessRestoreReadsTheStoredPageSize) {
+  // A world written with 512-byte pages restores into a simulation with
+  // no storage of its own, whose default page size is 8192.
+  const std::string dir = FreshDir("small_page_world");
+  auto durable = BuildScenario(
+      "battle", StorageConfigFor(dir, EvaluatorMode::kIndexed, 1));
+  ASSERT_NE(nullptr, durable);
+  ASSERT_TRUE(durable->Run(6).ok());
+  ASSERT_TRUE(durable->Checkpoint(dir).ok());
+  ASSERT_TRUE(durable->Run(3).ok());
+  ASSERT_EQ(512, *WorldStore::StoredPageSize(dir));
+
+  SimulationConfig config;
+  config.eval_mode = EvaluatorMode::kIndexed;
+  auto twin = BuildScenario("battle", config);
+  ASSERT_NE(nullptr, twin);
+  Status st = twin->RestoreFrom(dir);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(9, twin->tick_count());
+  EXPECT_TRUE(twin->table().Equals(durable->table()))
+      << twin->table().DiffString(durable->table());
+  ASSERT_TRUE(durable->Run(4).ok());
+  ASSERT_TRUE(twin->Run(4).ok());
+  EXPECT_TRUE(twin->table().Equals(durable->table()))
+      << twin->table().DiffString(durable->table());
+}
+
 TEST(StorageCheckpointTest, CheckpointReplacesALogOfAnotherVersion) {
   auto sim = RunPlainBattle(4);
   ASSERT_NE(nullptr, sim);
